@@ -19,9 +19,9 @@ from .frontend import (
 from .interp import (
     RunRecord, StuckError, TraceParseError, dump_trace, eval_comp, load_trace,
 )
-from .lattice import lattice_size
 from .oracle import (
-    check_adjunction, check_minimality_all, generate_run, input_lattice_size,
+    check_adjunction, check_join_preservation, check_meet_preservation,
+    check_minimality_all, generate_run, input_lattice_size,
 )
 from .slicer import (
     Criterion, ShapeMismatchError, bwd_comp, fwd_comp, validate_criterion,
@@ -219,14 +219,17 @@ def cmd_oracle(args) -> int:
     failures = []
     for seed in range(args.seeds):
         run = generate_run(seed + args.seed_base, max_budget=args.budget, cap=args.cap)
-        checks = [check_adjunction(run, args.cap)]
+        checks = {"adjunction": check_adjunction(run, args.cap)}
         if args.minimality:
-            checks.append(check_minimality_all(run, args.cap))
-        bad = [c for c in checks if c is not None]
+            checks["minimality"] = check_minimality_all(run, args.cap)
+        checks["meet"] = check_meet_preservation(run, rng, 20, args.cap)
+        checks["join"] = check_join_preservation(run, rng, 15, args.cap)
+        bad = [c for c in checks.values() if c is not None]
         record = {
             "seed": seed + args.seed_base,
             "lattice": input_lattice_size(run),
             "ok": not bad,
+            "checks": list(checks),
         }
         if bad:
             record["counterexamples"] = [str(c) for c in bad]
@@ -339,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace dump written by `itml trace`")
     p.set_defaults(fn=cmd_fwd)
 
-    p = sub.add_parser("oracle", help="brute-force adjunction/minimality checks")
+    p = sub.add_parser(
+        "oracle", help="brute-force adjunction/minimality and sampled meet/join checks")
     p.add_argument("--seeds", type=int, default=50)
     p.add_argument("--budget", type=int, default=3)
     p.add_argument("--cap", type=int, default=4096)

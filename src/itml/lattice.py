@@ -13,13 +13,15 @@ set and outcome.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
+from math import prod
+from operator import is_
 from typing import Callable, Iterator
 
 from .syntax import (
     ArrayCell, Comp, CHole, Env, EHole, Expr, Result, ScalarCell, Store,
-    Trace, THole, Value, VHole, VClosure, VPair, VInl, VInr, HOLE, LocKey,
-    trace_children, trace_local_writes, _subterms,
+    Trace, THole, Value, VHole, HOLE, LocKey, SCHEMA,
+    trace_children, trace_local_writes,
 )
 
 
@@ -118,561 +120,244 @@ def erase_by(store: Store, hit: Callable[[LocKey], bool]) -> Store:
 
 
 # ---------------------------------------------------------------------------
-# Prefix order
+# The generic order, meet and join.  Nodes of the four term categories run
+# off the schema: a hole is below everything of its category, and two
+# non-hole nodes compare when their classes and atoms agree, child by
+# child.  Atoms compare type-exactly, so 1, 1.0 and True stay distinct.
+# Environments, stores, results and EPrim's argument tuple are products
+# with rules of their own.
 
-def leq_expr(a: Expr, b: Expr) -> bool:
-    if isinstance(a, EHole):
+_HOLES = frozenset((EHole, CHole, VHole, THole))
+
+# The bottom of each category's prefix lattice below a term.  Meeting
+# non-hole nodes of different shapes gives this bottom, except for traces:
+# they must be prefixes of one run, so such a meet is undefined.
+_BOTTOM = {
+    Expr: lambda t: EHole(),
+    Comp: lambda t: CHole(),
+    Value: lambda t: HOLE,
+    Trace: lambda t: THole(writes(t), outcome(t)),
+}
+
+
+def _same_shape(s, a, b) -> bool:
+    """b has a's class and a's atoms."""
+    if type(b) is not type(a):
+        return False
+    if not s.atoms:
         return True
-    if type(a) is not type(b):
-        return False
-    if not _atoms_match(a, b):
-        return False
-    return all(leq(x, y) for x, y in zip(_subterms(a), _subterms(b)))
+    xs, ys = s.atom_values(a), s.atom_values(b)
+    return xs == ys and all(map(is_, map(type, xs), map(type, ys)))
 
 
-def leq_comp(a: Comp, b: Comp) -> bool:
-    if isinstance(a, CHole):
-        return True
-    if type(a) is not type(b):
-        return False
-    if not _atoms_match(a, b):
-        return False
-    return all(leq(x, y) for x, y in zip(_subterms(a), _subterms(b)))
+def _pointwise(op: Callable, s, a, b):
+    """op child by child; a itself when no child changed."""
+    kids = s.kids(a)
+    if not kids:
+        return a
+    new = tuple(map(op, kids, s.kids(b)))
+    return a if all(map(is_, new, kids)) else s.build(a, new)
 
 
-def _is_term_tuple(x) -> bool:
-    return isinstance(x, tuple) and bool(x) and isinstance(x[0], (Expr, Comp, Value, Trace))
-
-
-def _atoms_match(a, b) -> bool:
-    """Non-term fields (names, operators, literals, paths) must agree exactly."""
-    for name in a.__dataclass_fields__:
-        if name == "span":
-            continue
-        x = getattr(a, name)
-        if isinstance(x, (Expr, Comp, Value, Trace, Env)) or _is_term_tuple(x):
-            continue
-        if x != getattr(b, name):
-            return False
-    # literal payloads need type-exact comparison (1 vs 1.0, bool vs int)
-    av = getattr(a, "value", None)
-    if av is not None and type(av) is not type(getattr(b, "value", None)):
-        return False
-    return True
-
-
-def leq_value(a: Value, b: Value) -> bool:
-    if isinstance(a, VHole):
-        return True
-    if type(a) is not type(b):
-        return False
-    match a:
-        case VPair(x1, y1):
-            return leq_value(x1, b.fst) and leq_value(y1, b.snd)
-        case VInl(x1) | VInr(x1):
-            return leq_value(x1, b.arg)
-        case VClosure(env1, f1, x1, m1):
-            return (
-                f1 == b.fname and x1 == b.xname
-                and leq_env(env1, b.env) and leq_comp(m1, b.body)
-            )
-        case _:
-            return a == b
-
-
-def leq_result(a: Result, b: Result) -> bool:
-    return a.outcome == b.outcome and leq_value(a.value, b.value)
-
-
-def leq_env(a: Env, b: Env) -> bool:
-    return all(leq_value(v, b.get(k)) for k, v in a.items())
-
-
-def _cell_pairings(a: Store, b: Store) -> Iterator[tuple]:
-    for loc in a.locs() | b.locs():
-        yield loc, a.cell(loc), b.cell(loc)
-
-
-def leq_store(a: Store, b: Store) -> bool:
-    for _loc, ca, cb in _cell_pairings(a, b):
-        if ca is None:
-            continue
-        if isinstance(ca, ScalarCell):
-            if cb is None or isinstance(cb, ArrayCell):
-                return False
-            if not leq_value(ca.value, cb.value):
-                return False
-        else:
-            if cb is None or isinstance(cb, ScalarCell) or cb.length != ca.length:
-                return False
-            if not all(leq_value(v, cb.get(i)) for i, v in ca.items.items()):
-                return False
-    return True
-
-
-def leq_trace(a: Trace, b: Trace) -> bool:
-    if isinstance(a, THole):
-        return a.outcome == outcome(b) and a.locs == writes(b)
-    if type(a) is not type(b):
-        return False
-    if not _atoms_match(a, b):
-        return False
-    for name in a.__dataclass_fields__:
-        x = getattr(a, name)
-        if isinstance(x, Expr):
-            if not leq_expr(x, getattr(b, name)):
-                return False
-        elif isinstance(x, Comp):
-            if not leq_comp(x, getattr(b, name)):
-                return False
-        elif isinstance(x, Trace):
-            if not leq_trace(x, getattr(b, name)):
-                return False
-    return True
+def _untyped(t, *_):
+    raise TypeError(f"not a partial term: {t!r}")
 
 
 def leq(a, b) -> bool:
-    """Prefix order, dispatched on category."""
-    if isinstance(a, Expr):
-        return leq_expr(a, b)
-    if isinstance(a, Comp):
-        return leq_comp(a, b)
-    if isinstance(a, Value):
-        return leq_value(a, b)
-    if isinstance(a, Result):
-        return leq_result(a, b)
-    if isinstance(a, Env):
-        return leq_env(a, b)
-    if isinstance(a, Store):
-        return leq_store(a, b)
-    if isinstance(a, Trace):
-        return leq_trace(a, b)
-    raise TypeError(f"no prefix order on {a!r}")
+    """Prefix order: a is b with some subterms replaced by holes."""
+    if a is b:
+        return True
+    cls = type(a)
+    s = SCHEMA.get(cls)
+    if s is None:
+        return _LEQ.get(cls, _untyped)(a, b)
+    if cls in _HOLES:
+        # a trace hole still discloses its write set and outcome
+        return cls is not THole or (a.outcome == outcome(b) and a.locs == writes(b))
+    return _same_shape(s, a, b) and all(map(leq, s.kids(a), s.kids(b)))
 
 
-# ---------------------------------------------------------------------------
-# Meets.  Total on expressions/computations/values (mismatches meet at
-# hole); traces and results require prefixes of a common run.
-
-def _rebuild(node, new_children):
-    """Copy of node with its term-children replaced, cached fields dropped."""
-    kwargs = {}
-    it = iter(new_children)
-    for name in node.__dataclass_fields__:
-        if name == "span":
-            continue
-        x = getattr(node, name)
-        if isinstance(x, (Expr, Comp, Trace)):
-            kwargs[name] = next(it)
-        elif _is_term_tuple(x):
-            kwargs[name] = tuple(next(it) for _ in x)
-        else:
-            kwargs[name] = x
-    return type(node)(**kwargs)
-
-
-def meet_expr(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, EHole) or isinstance(b, EHole):
-        return EHole()
-    if type(a) is not type(b) or not _atoms_match(a, b):
-        return EHole()
-    kids = [meet(x, y) for x, y in zip(_subterms(a), _subterms(b))]
-    return _rebuild(a, kids)
+def meet(a, b):
+    """Greatest lower bound.  Total on expressions, computations and values
+    (mismatched parts meet at the hole); traces and results must be
+    prefixes of a common run."""
+    if a is b:
+        return a
+    cls = type(a)
+    s = SCHEMA.get(cls)
+    if s is None:
+        return _MEET.get(cls, _untyped)(a, b)
+    if cls in _HOLES:
+        return a
+    if type(b) in _HOLES:
+        return b
+    if not _same_shape(s, a, b):
+        if s.category is Trace:
+            raise UndefinedMeetError(
+                f"traces of different shapes: {cls.__name__} vs {type(b).__name__}")
+        return _BOTTOM[s.category](a)
+    return _pointwise(meet, s, a, b)
 
 
-def meet_comp(a: Comp, b: Comp) -> Comp:
-    if isinstance(a, CHole) or isinstance(b, CHole):
-        return CHole()
-    if type(a) is not type(b) or not _atoms_match(a, b):
-        return CHole()
-    kids = [meet(x, y) for x, y in zip(_subterms(a), _subterms(b))]
-    return _rebuild(a, kids)
+def join(a, b):
+    """Least upper bound, defined inside the prefix lattice of a common term."""
+    if a is b:
+        return a
+    cls = type(a)
+    s = SCHEMA.get(cls)
+    if s is None:
+        return _JOIN.get(cls, _untyped)(a, b)
+    if cls in _HOLES:
+        return b
+    if type(b) in _HOLES:
+        return a
+    if not _same_shape(s, a, b):
+        raise UndefinedJoinError(f"no upper bound: {a!r} vs {b!r}")
+    return _pointwise(join, s, a, b)
 
 
-def meet_value(a: Value, b: Value) -> Value:
-    if isinstance(a, VHole) or isinstance(b, VHole):
-        return HOLE
-    if type(a) is not type(b):
-        return HOLE
-    match a:
-        case VPair(x1, y1):
-            return VPair(meet_value(x1, b.fst), meet_value(y1, b.snd))
-        case VInl(x1):
-            return VInl(meet_value(x1, b.arg))
-        case VInr(x1):
-            return VInr(meet_value(x1, b.arg))
-        case VClosure(env1, f1, x1, m1):
-            if f1 != b.fname or x1 != b.xname:
-                return HOLE
-            return VClosure(meet_env(env1, b.env), f1, x1, meet_comp(m1, b.body))
-        case _:
-            return a if a == b else HOLE
+def _leq_store(a: Store, b: Store) -> bool:
+    for loc, ca in a.cells():
+        cb = b.cell(loc)
+        if type(cb) is not type(ca):
+            return False
+        if isinstance(ca, ScalarCell):
+            if not leq(ca.value, cb.value):
+                return False
+        elif cb.length != ca.length or not all(leq(v, cb.get(i)) for i, v in ca.items.items()):
+            return False
+    return True
 
 
-def meet_result(a: Result, b: Result) -> Result:
-    if a.outcome != b.outcome:
-        raise UndefinedMeetError(f"outcomes differ: {a.outcome} vs {b.outcome}")
-    return Result(a.outcome, meet_value(a.value, b.value))
-
-
-def meet_env(a: Env, b: Env) -> Env:
-    common = {}
-    for k, v in a.items():
-        if k in b:
-            common[k] = meet_value(v, b.get(k))
-    return Env(common)
-
-
-def meet_store(a: Store, b: Store) -> Store:
+def _meet_store(a: Store, b: Store) -> Store:
     out: dict = {}
-    for loc, ca, cb in _cell_pairings(a, b):
-        if ca is None or cb is None:
+    for loc, ca in a.cells():
+        cb = b.cell(loc)
+        if cb is None:
             continue
         if isinstance(ca, ScalarCell) and isinstance(cb, ScalarCell):
-            out[loc] = ScalarCell(meet_value(ca.value, cb.value))
+            out[loc] = ScalarCell(meet(ca.value, cb.value))
         elif isinstance(ca, ArrayCell) and isinstance(cb, ArrayCell) and ca.length == cb.length:
-            items = {i: meet_value(v, cb.get(i)) for i, v in ca.items.items() if i in cb.items}
+            items = {i: meet(v, cb.get(i)) for i, v in ca.items.items() if i in cb.items}
             out[loc] = ArrayCell(ca.length, items)
         else:
             raise UndefinedMeetError(f"cell shape mismatch at #{loc}")
     return Store(out)
 
 
-def meet_trace(a: Trace, b: Trace) -> Trace:
-    if isinstance(a, THole):
-        return a
-    if isinstance(b, THole):
-        return b
-    if type(a) is not type(b) or not _atoms_match(a, b):
-        raise UndefinedMeetError(
-            f"traces of different shapes: {type(a).__name__} vs {type(b).__name__}"
-        )
-    kids = []
-    for name in a.__dataclass_fields__:
-        x = getattr(a, name)
-        if isinstance(x, (Expr, Comp, Trace)):
-            kids.append(meet(x, getattr(b, name)))
-    return _rebuild(a, kids)
-
-
-def meet(a, b):
-    if isinstance(a, Expr):
-        return meet_expr(a, b)
-    if isinstance(a, Comp):
-        return meet_comp(a, b)
-    if isinstance(a, Value):
-        return meet_value(a, b)
-    if isinstance(a, Result):
-        return meet_result(a, b)
-    if isinstance(a, Env):
-        return meet_env(a, b)
-    if isinstance(a, Store):
-        return meet_store(a, b)
-    if isinstance(a, Trace):
-        return meet_trace(a, b)
-    raise TypeError(f"no meet on {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# Joins, defined inside the prefix lattice of a common term.
-
-def join_expr(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, EHole):
-        return b
-    if isinstance(b, EHole):
-        return a
-    if type(a) is not type(b) or not _atoms_match(a, b):
-        raise UndefinedJoinError(f"no upper bound: {a!r} vs {b!r}")
-    kids = [join(x, y) for x, y in zip(_subterms(a), _subterms(b))]
-    return _rebuild(a, kids)
-
-
-def join_comp(a: Comp, b: Comp) -> Comp:
-    if isinstance(a, CHole):
-        return b
-    if isinstance(b, CHole):
-        return a
-    if type(a) is not type(b) or not _atoms_match(a, b):
-        raise UndefinedJoinError(f"no upper bound: {a!r} vs {b!r}")
-    kids = [join(x, y) for x, y in zip(_subterms(a), _subterms(b))]
-    return _rebuild(a, kids)
-
-
-def join_value(a: Value, b: Value) -> Value:
-    if isinstance(a, VHole):
-        return b
-    if isinstance(b, VHole):
-        return a
-    if type(a) is not type(b):
-        raise UndefinedJoinError(f"no upper bound: {a!r} vs {b!r}")
-    match a:
-        case VPair(x1, y1):
-            return VPair(join_value(x1, b.fst), join_value(y1, b.snd))
-        case VInl(x1):
-            return VInl(join_value(x1, b.arg))
-        case VInr(x1):
-            return VInr(join_value(x1, b.arg))
-        case VClosure(env1, f1, x1, m1):
-            if f1 != b.fname or x1 != b.xname:
-                raise UndefinedJoinError("closures with different binders")
-            return VClosure(join_env(env1, b.env), f1, x1, join_comp(m1, b.body))
-        case _:
-            if a != b:
-                raise UndefinedJoinError(f"no upper bound: {a!r} vs {b!r}")
-            return a
-
-
-def join_result(a: Result, b: Result) -> Result:
-    if a.outcome != b.outcome:
-        raise UndefinedJoinError(f"outcomes differ: {a.outcome} vs {b.outcome}")
-    return Result(a.outcome, join_value(a.value, b.value))
-
-
-def join_env(a: Env, b: Env) -> Env:
-    out = dict(a.items())
-    for k, v in b.items():
-        out[k] = join_value(out[k], v) if k in out else v
-    return Env(out)
-
-
-def join_store(a: Store, b: Store) -> Store:
-    out: dict = {}
-    for loc, ca, cb in _cell_pairings(a, b):
+def _join_store(a: Store, b: Store) -> Store:
+    out = dict(a.cells())
+    for loc, cb in b.cells():
+        ca = out.get(loc)
         if ca is None:
             out[loc] = cb
-        elif cb is None:
-            out[loc] = ca
         elif isinstance(ca, ScalarCell) and isinstance(cb, ScalarCell):
-            out[loc] = ScalarCell(join_value(ca.value, cb.value))
+            out[loc] = ScalarCell(join(ca.value, cb.value))
         elif isinstance(ca, ArrayCell) and isinstance(cb, ArrayCell) and ca.length == cb.length:
             items = dict(ca.items)
             for i, v in cb.items.items():
-                items[i] = join_value(items[i], v) if i in items else v
+                items[i] = join(items[i], v) if i in items else v
             out[loc] = ArrayCell(ca.length, items)
         else:
             raise UndefinedJoinError(f"cell shape mismatch at #{loc}")
     return Store(out)
 
 
-def join_trace(a: Trace, b: Trace) -> Trace:
-    if isinstance(a, THole):
-        return b
-    if isinstance(b, THole):
+def _join_env(a: Env, b: Env) -> Env:
+    if not b:
         return a
-    if type(a) is not type(b) or not _atoms_match(a, b):
-        raise UndefinedJoinError(
-            f"traces of different shapes: {type(a).__name__} vs {type(b).__name__}"
-        )
-    kids = []
-    for name in a.__dataclass_fields__:
-        x = getattr(a, name)
-        if isinstance(x, (Expr, Comp, Trace)):
-            kids.append(join(x, getattr(b, name)))
-    return _rebuild(a, kids)
+    out = dict(a.items())
+    for k, v in b.items():
+        out[k] = join(out[k], v) if k in out else v
+    return Env(out)
 
 
-def join(a, b):
-    if isinstance(a, Expr):
-        return join_expr(a, b)
-    if isinstance(a, Comp):
-        return join_comp(a, b)
-    if isinstance(a, Value):
-        return join_value(a, b)
-    if isinstance(a, Result):
-        return join_result(a, b)
-    if isinstance(a, Env):
-        return join_env(a, b)
-    if isinstance(a, Store):
-        return join_store(a, b)
-    if isinstance(a, Trace):
-        return join_trace(a, b)
-    raise TypeError(f"no join on {a!r}")
+def _same_outcome(error: type, a: Result, b: Result) -> str:
+    if a.outcome != b.outcome:
+        raise error(f"outcomes differ: {a.outcome} vs {b.outcome}")
+    return a.outcome
 
 
-# alias matching the operation's common-term precondition
-join_within = join
+_LEQ = {
+    Env: lambda a, b: all(leq(v, b.get(k)) for k, v in a.items()),
+    Store: _leq_store,
+    Result: lambda a, b: a.outcome == b.outcome and leq(a.value, b.value),
+    tuple: lambda a, b: len(a) == len(b) and all(map(leq, a, b)),
+}
+_MEET = {
+    Env: lambda a, b: Env({k: meet(v, b.get(k)) for k, v in a.items() if k in b}),
+    Store: _meet_store,
+    Result: lambda a, b: Result(_same_outcome(UndefinedMeetError, a, b), meet(a.value, b.value)),
+    tuple: lambda a, b: tuple(map(meet, a, b)),
+}
+_JOIN = {
+    Env: _join_env,
+    Store: _join_store,
+    Result: lambda a, b: Result(_same_outcome(UndefinedJoinError, a, b), join(a.value, b.value)),
+    tuple: lambda a, b: tuple(map(join, a, b)),
+}
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive prefix enumeration (the oracle's workhorse).
 #
-# Bottom is yielded first and the full term last; the count is the product,
-# over non-hole nodes, of (1 + product of child counts).
+# Bottom is yielded first and the full term last, the leftmost child
+# varying slowest; the count is the product, over non-hole nodes, of
+# (1 + product of child counts).  The products (environments, stores and
+# their cells, results, argument tuples) have no hole of their own: their
+# prefixes are those of their parts, with keys visited in sorted order.
 
 DEFAULT_POINT_CAP = 16
 
 
+def _map_parts(pairs, make: Callable) -> tuple:
+    keys, values = zip(*sorted(pairs)) if pairs else ((), ())
+    return values, lambda vs: make(dict(zip(keys, vs)))
+
+
+_PARTS = {
+    tuple: lambda t: (t, tuple),
+    Result: lambda r: ((r.value,), lambda vs: Result(r.outcome, *vs)),
+    ScalarCell: lambda c: ((c.value,), lambda vs: ScalarCell(*vs)),
+    ArrayCell: lambda c: _map_parts(c.items.items(), lambda m: ArrayCell(c.length, m)),
+    Env: lambda e: _map_parts(e.items(), Env),
+    Store: lambda s: _map_parts(s.cells(), Store),
+}
+
+
 def _hole_points(t) -> int:
     """Number of positions where a hole can be introduced."""
-    if isinstance(t, (EHole, CHole, VHole)):
+    if type(t) in _HOLES:
         return 0
-    if isinstance(t, (Expr, Comp)):
-        return 1 + sum(_hole_points(c) for c in _subterms(t))
-    if isinstance(t, Value):
-        match t:
-            case VPair(a, b):
-                return 1 + _hole_points(a) + _hole_points(b)
-            case VInl(a) | VInr(a):
-                return 1 + _hole_points(a)
-            case VClosure(env, _, _, body):
-                return 1 + _hole_points(env) + _hole_points(body)
-            case _:
-                return 1
-    if isinstance(t, Result):
-        return _hole_points(t.value)
-    if isinstance(t, Env):
-        return sum(_hole_points(v) for _, v in t.items())
-    if isinstance(t, Store):
-        total = 0
-        for _loc, cell in t.cells():
-            if isinstance(cell, ScalarCell):
-                total += _hole_points(cell.value)
-            else:
-                total += sum(_hole_points(v) for v in cell.items.values())
-        return total
-    if isinstance(t, Trace):
-        n = 1
-        for name in t.__dataclass_fields__:
-            x = getattr(t, name)
-            if isinstance(x, (Expr, Comp, Trace)):
-                n += _hole_points(x)
-        return n
-    raise TypeError(f"cannot enumerate {t!r}")
+    s = SCHEMA.get(type(t))
+    if s is None:
+        return sum(map(_hole_points, _PARTS.get(type(t), _untyped)(t)[0]))
+    return 1 + sum(map(_hole_points, s.kids(t)))
 
 
 def lattice_size(t) -> int:
     """|Prefix(t)| computed by the recursive product formula."""
-    if isinstance(t, (EHole, CHole, VHole)):
+    if type(t) in _HOLES:
         return 1
-    if isinstance(t, (Expr, Comp)):
-        n = 1
-        for c in _subterms(t):
-            n *= lattice_size(c)
-        return 1 + n
-    if isinstance(t, Value):
-        match t:
-            case VPair(a, b):
-                return 1 + lattice_size(a) * lattice_size(b)
-            case VInl(a) | VInr(a):
-                return 1 + lattice_size(a)
-            case VClosure(env, _, _, body):
-                return 1 + lattice_size(env) * lattice_size(body)
-            case _:
-                return 2
-    if isinstance(t, Result):
-        return lattice_size(t.value)
-    if isinstance(t, Env):
-        n = 1
-        for _, v in t.items():
-            n *= lattice_size(v)
-        return n
-    if isinstance(t, Store):
-        n = 1
-        for _loc, cell in t.cells():
-            if isinstance(cell, ScalarCell):
-                n *= lattice_size(cell.value)
-            else:
-                for v in cell.items.values():
-                    n *= lattice_size(v)
-        return n
-    if isinstance(t, Trace):
-        n = 1
-        for name in t.__dataclass_fields__:
-            x = getattr(t, name)
-            if isinstance(x, (Expr, Comp, Trace)):
-                n *= lattice_size(x)
-        return 1 + n
-    raise TypeError(f"cannot size {t!r}")
-
-
-def _product(iterables) -> Iterator[tuple]:
-    """Lazy cartesian product of enumeration thunks, leftmost slowest."""
-    if not iterables:
-        yield ()
-        return
-    head, rest = iterables[0], iterables[1:]
-    for h in head():
-        for r in _product(rest):
-            yield (h,) + r
+    s = SCHEMA.get(type(t))
+    if s is None:
+        return prod(map(lattice_size, _PARTS.get(type(t), _untyped)(t)[0]))
+    return 1 + prod(map(lattice_size, s.kids(t)))
 
 
 def _enum(t) -> Iterator:
-    if isinstance(t, (EHole, CHole)):
+    if type(t) in _HOLES:
         yield t
         return
-    if isinstance(t, Expr):
-        yield EHole()
-        kids = _subterms(t)
-        for combo in _product([lambda c=c: _enum(c) for c in kids]):
-            yield _rebuild(t, list(combo))
+    s = SCHEMA.get(type(t))
+    if s is None:
+        parts, make = _PARTS.get(type(t), _untyped)(t)
+        for combo in product(*[list(_enum(p)) for p in parts]):
+            yield make(combo)
         return
-    if isinstance(t, Comp):
-        yield CHole()
-        kids = _subterms(t)
-        for combo in _product([lambda c=c: _enum(c) for c in kids]):
-            yield _rebuild(t, list(combo))
-        return
-    if isinstance(t, Value):
-        if isinstance(t, VHole):
-            yield t
-            return
-        yield HOLE
-        match t:
-            case VPair(a, b):
-                for x in _enum(a):
-                    for y in _enum(b):
-                        yield VPair(x, y)
-            case VInl(a):
-                for x in _enum(a):
-                    yield VInl(x)
-            case VInr(a):
-                for x in _enum(a):
-                    yield VInr(x)
-            case VClosure(env, f, xn, body):
-                for e in _enum(env):
-                    for b2 in _enum(body):
-                        yield VClosure(e, f, xn, b2)
-            case _:
-                yield t
-        return
-    if isinstance(t, Result):
-        for v in _enum(t.value):
-            yield Result(t.outcome, v)
-        return
-    if isinstance(t, Env):
-        entries = sorted(t.items())
-        for combo in _product([lambda v=v: _enum(v) for _, v in entries]):
-            yield Env({k: cv for (k, _), cv in zip(entries, combo)})
-        return
-    if isinstance(t, Store):
-        flat: list = []
-        for loc, cell in sorted(t.cells()):
-            if isinstance(cell, ScalarCell):
-                flat.append(((loc, None, None), cell.value))
-            else:
-                for i, v in sorted(cell.items.items()):
-                    flat.append(((loc, i, cell.length), v))
-        for combo in _product([lambda v=v: _enum(v) for _, v in flat]):
-            m: dict = {}
-            for ((loc, i, length), _), cv in zip(flat, combo):
-                if i is None:
-                    m[loc] = ScalarCell(cv)
-                else:
-                    prev = m.get(loc) or ArrayCell(length)
-                    m[loc] = prev.set(i, cv)
-            yield Store(m)
-        return
-    if isinstance(t, Trace):
-        yield THole(writes(t), outcome(t))
-        kids = []
-        for name in t.__dataclass_fields__:
-            x = getattr(t, name)
-            if isinstance(x, (Expr, Comp, Trace)):
-                kids.append(x)
-        for combo in _product([lambda c=c: _enum(c) for c in kids]):
-            yield _rebuild(t, list(combo))
-        return
-    raise TypeError(f"cannot enumerate {t!r}")
+    yield _BOTTOM[s.category](t)
+    for combo in product(*[list(_enum(k)) for k in s.kids(t)]):
+        yield s.build(t, combo)
 
 
 def enumerate_prefixes(t, point_cap: int = DEFAULT_POINT_CAP) -> Iterator:

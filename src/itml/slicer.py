@@ -30,10 +30,7 @@ from typing import Optional
 
 from .interp import RunRecord, apply_prim, eval_expr, ExnSignal, StuckError, \
     DIV_BY_ZERO, OUT_OF_BOUNDS, NEG_LENGTH
-from .lattice import (
-    WritesIndex, erase, erase_by, join_env, join_value, leq_result, leq_store,
-    meet_comp, meet_expr, outcome, writes,
-)
+from .lattice import WritesIndex, erase, erase_by, join, leq, meet, outcome, writes
 from .syntax import (
     Comp, CApp, CArrGet, CArrMake, CArrSet, CAssign, CCase, CDeref, CHole,
     CIf, CLet, CRaise, CRef, CRet, CTry,
@@ -43,8 +40,8 @@ from .syntax import (
     VInl, VInr, VLoc, VNum, VPair, VStr, VUnit, HOLE, UNIT, VAL, EXN,
     Trace, TApp, TArrGet, TArrMake, TArrSet, TAssign, TCaseInl, TCaseInr,
     TDeref, TFail, THole, TIfFalse, TIfTrue, TLetFail, TLetSucc, TRaise,
-    TRef, TRet, TTryFail, TTrySucc,
-    comp_exprs, _subterms,
+    TRef, TRet, TTryFail, TTrySucc, SCHEMA,
+    comp_exprs, term_children,
 )
 
 
@@ -135,7 +132,7 @@ def bwd_expr(v: Value, e: Expr, renv: Optional[Env]) -> tuple:
             _expect(isinstance(v, VPair), v, e)
             rho1, s1 = bwd_expr(v.fst, e1, renv)
             rho2, s2 = bwd_expr(v.snd, e2, renv)
-            return join_env(rho1, rho2), EPair(s1, s2)
+            return join(rho1, rho2), EPair(s1, s2)
         case EFst(e1):
             rho, s1 = bwd_expr(VPair(v, HOLE), e1, renv)
             return rho, EFst(s1)
@@ -160,7 +157,7 @@ def bwd_expr(v: Value, e: Expr, renv: Optional[Env]) -> tuple:
             for a in args:
                 rec = eval_expr(renv, a)
                 rho_a, s_a = bwd_expr(rec, a, renv)
-                rho = join_env(rho, rho_a)
+                rho = join(rho, rho_a)
                 slices.append(s_a)
             return rho, EPrim(op, tuple(slices))
         case EHole():
@@ -210,7 +207,7 @@ def _fwd(env: Env, store: Store, m: Comp, t: Trace, windex: WritesIndex) -> tupl
 
     match m, t:
         case (CRet(e), TRet(te)):
-            return store, Result(VAL, fwd_expr(env, meet_expr(e, te)))
+            return store, Result(VAL, fwd_expr(env, meet(e, te)))
 
         case (CLet(x, m1, m2), TLetSucc(_, t1, t2)):
             store1, r1 = _fwd(env, store, m1, t1, windex)
@@ -220,39 +217,39 @@ def _fwd(env: Env, store: Store, m: Comp, t: Trace, windex: WritesIndex) -> tupl
             return _fwd(env, store, m1, t1, windex)
 
         case (CApp(e1, e2), TApp(te1, te2, _, _, tb)):
-            v1 = fwd_expr(env, meet_expr(e1, te1))
+            v1 = fwd_expr(env, meet(e1, te1))
             if not isinstance(v1, VClosure):
                 return _fwd_opaque(store, tb, windex)
-            v2 = fwd_expr(env, meet_expr(e2, te2))
+            v2 = fwd_expr(env, meet(e2, te2))
             benv = v1.env.bind(v1.fname, v1).bind(v1.xname, v2)
             return _fwd(benv, store, v1.body, tb, windex)
 
         case (CCase(e, lx, m1, _, _), TCaseInl(te, _, tb, _)):
-            v = fwd_expr(env, meet_expr(e, te))
+            v = fwd_expr(env, meet(e, te))
             if not isinstance(v, VInl):
                 return _fwd_opaque(store, tb, windex)
             return _fwd(env.bind(lx, v.arg), store, m1, tb, windex)
 
         case (CCase(e, _, _, ry, m2), TCaseInr(te, _, _, tb)):
-            v = fwd_expr(env, meet_expr(e, te))
+            v = fwd_expr(env, meet(e, te))
             if not isinstance(v, VInr):
                 return _fwd_opaque(store, tb, windex)
             return _fwd(env.bind(ry, v.arg), store, m2, tb, windex)
 
         case (CIf(c, m1, _), TIfTrue(tc, tb)):
-            v = fwd_expr(env, meet_expr(c, tc))
+            v = fwd_expr(env, meet(c, tc))
             if not (isinstance(v, VBool) and v.value is True):
                 return _fwd_opaque(store, tb, windex)
             return _fwd(env, store, m1, tb, windex)
 
         case (CIf(c, _, m2), TIfFalse(tc, tb)):
-            v = fwd_expr(env, meet_expr(c, tc))
+            v = fwd_expr(env, meet(c, tc))
             if not (isinstance(v, VBool) and v.value is False):
                 return _fwd_opaque(store, tb, windex)
             return _fwd(env, store, m2, tb, windex)
 
         case (CRaise(e), TRaise(te)):
-            return store, Result(EXN, fwd_expr(env, meet_expr(e, te)))
+            return store, Result(EXN, fwd_expr(env, meet(e, te)))
 
         case (CTry(m1, _, _), TTrySucc(t1, _)):
             return _fwd(env, store, m1, t1, windex)
@@ -262,43 +259,43 @@ def _fwd(env: Env, store: Store, m: Comp, t: Trace, windex: WritesIndex) -> tupl
             return _fwd(env.bind(x, r1.value), store1, m2, t2, windex)
 
         case (CRef(e), TRef(loc, te)):
-            v = fwd_expr(env, meet_expr(e, te))
+            v = fwd_expr(env, meet(e, te))
             return store.set_value(loc, v), Result(VAL, VLoc(loc))
 
         case (CAssign(e1, e2), TAssign(te1, loc, te2)):
-            v1 = fwd_expr(env, meet_expr(e1, te1))
+            v1 = fwd_expr(env, meet(e1, te1))
             if not (isinstance(v1, VLoc) and v1.loc == loc):
                 # target unknown: the recorded cell is clobbered, but an
                 # assignment's unit result is known regardless
                 return store.set_value(loc, HOLE), Result(VAL, UNIT)
-            v2 = fwd_expr(env, meet_expr(e2, te2))
+            v2 = fwd_expr(env, meet(e2, te2))
             return store.set_value(loc, v2), Result(VAL, UNIT)
 
         case (CDeref(e), TDeref(loc, te)):
-            v = fwd_expr(env, meet_expr(e, te))
+            v = fwd_expr(env, meet(e, te))
             if not (isinstance(v, VLoc) and v.loc == loc):
                 return store, Result(VAL, HOLE)
             return store, Result(VAL, _store_value(store, loc))
 
         case (CArrMake(e1, e2), TArrMake(loc, n, te1, te2)):
-            v1 = fwd_expr(env, meet_expr(e1, te1))
-            v2 = fwd_expr(env, meet_expr(e2, te2))
+            v1 = fwd_expr(env, meet(e1, te1))
+            v2 = fwd_expr(env, meet(e2, te2))
             if not (isinstance(v1, VNum) and v1.value == n):
                 return store.set_array(loc, n, HOLE), Result(VAL, HOLE)
             return store.set_array(loc, n, v2), Result(VAL, VArr(loc, n))
 
         case (CArrGet(e1, e2), TArrGet(te1, te2, loc, at)):
-            v1 = fwd_expr(env, meet_expr(e1, te1))
-            v2 = fwd_expr(env, meet_expr(e2, te2))
+            v1 = fwd_expr(env, meet(e1, te1))
+            v2 = fwd_expr(env, meet(e2, te2))
             if not (isinstance(v1, VArr) and v1.loc == loc
                     and isinstance(v2, VNum) and v2.value == at):
                 return store, Result(VAL, HOLE)
             return store, Result(VAL, _store_elem(store, loc, at))
 
         case (CArrSet(e1, e2, e3), TArrSet(te1, te2, loc, at, te3)):
-            v1 = fwd_expr(env, meet_expr(e1, te1))
-            v2 = fwd_expr(env, meet_expr(e2, te2))
-            v3 = fwd_expr(env, meet_expr(e3, te3))
+            v1 = fwd_expr(env, meet(e1, te1))
+            v2 = fwd_expr(env, meet(e2, te2))
+            v3 = fwd_expr(env, meet(e3, te3))
             known = (isinstance(v1, VArr) and v1.loc == loc
                      and isinstance(v2, VNum) and v2.value == at)
             if not known:
@@ -306,7 +303,7 @@ def _fwd(env: Env, store: Store, m: Comp, t: Trace, windex: WritesIndex) -> tupl
             return store.set_elem(loc, at, v3, length=v1.length), Result(VAL, UNIT)
 
         case (_, TFail(tm, path)):
-            m_eff = meet_comp(m, tm)
+            m_eff = meet(m, tm)
             if isinstance(m_eff, CHole):
                 return store, Result(EXN, HOLE)
             return store, Result(EXN, _fwd_fail_value(env, m_eff, path))
@@ -354,7 +351,7 @@ def _div_fires(env: Env, e: Expr, sub: tuple) -> bool:
     for k in sub:
         if isinstance(e, (EHole, CHole)):
             return False
-        kids = _subterms(e)
+        kids = term_children(e)
         if k >= len(kids):
             return False
         e = kids[k]
@@ -390,12 +387,12 @@ class BackwardSliceOutput:
 
 def validate_criterion(criterion: Criterion, run: RunRecord) -> None:
     """The criterion must be a prefix of the recorded outputs."""
-    if not leq_result(criterion.result, run.result):
+    if not leq(criterion.result, run.result):
         raise ShapeMismatchError(
             f"result demand {criterion.result!r} is not a prefix of the "
             f"recorded result {run.result!r}"
         )
-    if not leq_store(criterion.store, run.out_store):
+    if not leq(criterion.store, run.out_store):
         raise ShapeMismatchError("store demand is not a prefix of the final store")
 
 
@@ -405,9 +402,16 @@ def validate_criterion(criterion: Criterion, run: RunRecord) -> None:
 def bwd_comp(criterion: Criterion, trace: Trace) -> BackwardSliceOutput:
     """Least inputs/program/trace reproducing the criterion under fwd_comp.
 
-    The trace must come from an in-process run (it carries environment
-    decorations); the criterion must already be validated against the run.
+    The trace must come from an in-process run: backward slicing reads the
+    environment decorations that evaluation leaves on its nodes.  A trace
+    without them, such as one reloaded from a dump, raises
+    ShapeMismatchError.  The criterion must already be validated against
+    the run.
     """
+    if trace.env is None:
+        raise ShapeMismatchError(
+            "trace has no environment decorations (a reloaded dump?); "
+            "backward slicing needs the trace of an in-process run")
     slicer = _Bwd()
     rho, store, m, u = slicer.slice(criterion.store, criterion.result, trace)
     return BackwardSliceOutput(rho, store, m, u)
@@ -436,7 +440,7 @@ class _Bwd:
                 v = rho2x.get(x)
                 rho2 = rho2x.without(x)
                 rho1, store3, m1, u1 = self.slice(store2, Result(VAL, v), t1)
-                return (join_env(rho1, rho2), store3,
+                return (join(rho1, rho2), store3,
                         CLet(x, m1, m2), TLetSucc(x, u1, u2))
 
             case TLetFail(t1, x):
@@ -448,10 +452,10 @@ class _Bwd:
                 v1 = rho_b.get(f)
                 v2 = rho_b.get(x)
                 rho_clo = rho_b.without(f, x)
-                demand1 = join_value(v1, VClosure(rho_clo, f, x, mb))
+                demand1 = join(v1, VClosure(rho_clo, f, x, mb))
                 rho2, e2s = bwd_expr(v2, e2, t.env)
                 rho1, e1s = bwd_expr(demand1, e1, t.env)
-                return (join_env(rho1, rho2), store2,
+                return (join(rho1, rho2), store2,
                         CApp(e1s, e2s), TApp(e1s, e2s, f, x, ub))
 
             case TCaseInl(e, lx, tb, ry):
@@ -459,7 +463,7 @@ class _Bwd:
                 v = rho_b.get(lx)
                 rho = rho_b.without(lx)
                 rho2, es = bwd_expr(VInl(v), e, t.env)
-                return (join_env(rho, rho2), store2,
+                return (join(rho, rho2), store2,
                         CCase(es, lx, mb, ry, CHole()), TCaseInl(es, lx, ub, ry))
 
             case TCaseInr(e, lx, ry, tb):
@@ -467,19 +471,19 @@ class _Bwd:
                 v = rho_b.get(ry)
                 rho = rho_b.without(ry)
                 rho2, es = bwd_expr(VInr(v), e, t.env)
-                return (join_env(rho, rho2), store2,
+                return (join(rho, rho2), store2,
                         CCase(es, lx, CHole(), ry, mb), TCaseInr(es, lx, ry, ub))
 
             case TIfTrue(c, tb):
                 rho_b, store2, mb, ub = self.slice(store, res, tb)
                 rho2, cs = bwd_expr(VBool(True), c, t.env)
-                return (join_env(rho_b, rho2), store2,
+                return (join(rho_b, rho2), store2,
                         CIf(cs, mb, CHole()), TIfTrue(cs, ub))
 
             case TIfFalse(c, tb):
                 rho_b, store2, mb, ub = self.slice(store, res, tb)
                 rho2, cs = bwd_expr(VBool(False), c, t.env)
-                return (join_env(rho_b, rho2), store2,
+                return (join(rho_b, rho2), store2,
                         CIf(cs, CHole(), mb), TIfFalse(cs, ub))
 
             case TRaise(e):
@@ -495,7 +499,7 @@ class _Bwd:
                 v = rho2x.get(x)
                 rho2 = rho2x.without(x)
                 rho1, store3, m1, u1 = self.slice(store2, Result(EXN, v), t1)
-                return (join_env(rho1, rho2), store3,
+                return (join(rho1, rho2), store3,
                         CTry(m1, x, m2), TTryFail(u1, x, u2))
 
             case TRef(loc, e):
@@ -513,13 +517,13 @@ class _Bwd:
                             CAssign(EHole(), EHole()), TAssign(EHole(), loc, EHole()))
                 rho2, e2s = bwd_expr(demanded, e2, t.env)
                 rho1, e1s = bwd_expr(VLoc(loc), e1, t.env)
-                return (join_env(rho1, rho2), store2,
+                return (join(rho1, rho2), store2,
                         CAssign(e1s, e2s), TAssign(e1s, loc, e2s))
 
             case TDeref(loc, e):
                 rho, es = bwd_expr(VLoc(loc), e, t.env)
                 store2 = store.set_value(
-                    loc, join_value(store.get_value(loc), res.value))
+                    loc, join(store.get_value(loc), res.value))
                 return rho, store2, CDeref(es), TDeref(loc, es)
 
             case TArrMake(loc, n, e1, e2):
@@ -527,19 +531,19 @@ class _Bwd:
                 cell = store.cell(loc)
                 if cell is not None:
                     for v in cell.items.values():
-                        demand = join_value(demand, v)
+                        demand = join(demand, v)
                 rho2, e2s = bwd_expr(demand, e2, t.env)
                 rho1, e1s = bwd_expr(VNum(n), e1, t.env)
-                return (join_env(rho1, rho2), store.drop(loc),
+                return (join(rho1, rho2), store.drop(loc),
                         CArrMake(e1s, e2s), TArrMake(loc, n, e1s, e2s))
 
             case TArrGet(e1, e2, loc, at):
                 arr = eval_expr(t.env, e1)
                 rho2, e2s = bwd_expr(VNum(at), e2, t.env)
                 rho1, e1s = bwd_expr(arr, e1, t.env)
-                joined = join_value(store.get_elem(loc, at), res.value)
+                joined = join(store.get_elem(loc, at), res.value)
                 store2 = store.set_elem(loc, at, joined, length=arr.length)
-                return (join_env(rho1, rho2), store2,
+                return (join(rho1, rho2), store2,
                         CArrGet(e1s, e2s), TArrGet(e1s, e2s, loc, at))
 
             case TArrSet(e1, e2, loc, at, e3):
@@ -549,7 +553,7 @@ class _Bwd:
                 rho2, e2s = bwd_expr(VNum(at), e2, t.env)
                 rho1, e1s = bwd_expr(arr, e1, t.env)
                 store2 = store.set_elem(loc, at, HOLE)
-                return (join_env(join_env(rho1, rho2), rho3), store2,
+                return (join(join(rho1, rho2), rho3), store2,
                         CArrSet(e1s, e2s, e3s), TArrSet(e1s, e2s, loc, at, e3s))
 
             case TFail(tm, path):
@@ -574,7 +578,7 @@ class _Bwd:
             else:
                 rho1, s1 = bwd_expr(eval_expr(renv, exprs[0]), exprs[0], renv)
                 rho2, s2 = bwd_expr(eval_expr(renv, exprs[1]), exprs[1], renv)
-                rho, slices[0], slices[1] = join_env(rho1, rho2), s1, s2
+                rho, slices[0], slices[1] = join(rho1, rho2), s1, s2
         return rho, _fail_comp(m, slices)
 
 
@@ -586,52 +590,22 @@ def _div_spine(e: Expr, sub: tuple, renv: Env) -> tuple:
             raise ShapeMismatchError("recorded failure path does not reach a division")
         rho1, s1 = bwd_expr(eval_expr(renv, e.args[0]), e.args[0], renv)
         rho2, s2 = bwd_expr(eval_expr(renv, e.args[1]), e.args[1], renv)
-        return join_env(rho1, rho2), EPrim("/", (s1, s2))
+        return join(rho1, rho2), EPrim("/", (s1, s2))
     k = sub[0]
-    kids = _subterms(e)
+    kids = term_children(e)
+    if not (k < len(kids) and isinstance(kids[k], Expr)):
+        raise ShapeMismatchError(f"failure path crosses a non-spine node {e!r}")
     rho, inner = _div_spine(kids[k], sub[1:], renv)
     slices = [EHole()] * len(kids)
     slices[k] = inner
-    match e:
-        case EPair(_, _):
-            return rho, EPair(slices[0], slices[1])
-        case EFst(_):
-            return rho, EFst(slices[0])
-        case ESnd(_):
-            return rho, ESnd(slices[0])
-        case EInl(_):
-            return rho, EInl(slices[0])
-        case EInr(_):
-            return rho, EInr(slices[0])
-        case EPrim(op, _):
-            return rho, EPrim(op, tuple(slices))
-    raise ShapeMismatchError(f"failure path crosses a non-spine node {e!r}")
+    if isinstance(e, EPrim):
+        return rho, EPrim(e.op, tuple(slices))
+    return rho, SCHEMA[type(e)].build(e, slices)
 
 
 def _fail_comp(m: Comp, exprs: list) -> Comp:
     """Rebuild a failing node with the given expression slices; branch
     computations never ran and stay holes."""
-    match m:
-        case CRet(_):
-            return CRet(exprs[0])
-        case CRaise(_):
-            return CRaise(exprs[0])
-        case CRef(_):
-            return CRef(exprs[0])
-        case CDeref(_):
-            return CDeref(exprs[0])
-        case CApp(_, _):
-            return CApp(exprs[0], exprs[1])
-        case CCase(_, lx, _, ry, _):
-            return CCase(exprs[0], lx, CHole(), ry, CHole())
-        case CIf(_, _, _):
-            return CIf(exprs[0], CHole(), CHole())
-        case CAssign(_, _):
-            return CAssign(exprs[0], exprs[1])
-        case CArrMake(_, _):
-            return CArrMake(exprs[0], exprs[1])
-        case CArrGet(_, _):
-            return CArrGet(exprs[0], exprs[1])
-        case CArrSet(_, _, _):
-            return CArrSet(exprs[0], exprs[1], exprs[2])
-    raise ShapeMismatchError(f"cannot rebuild failing node {type(m).__name__}")
+    s = SCHEMA[type(m)]
+    slices = iter(exprs)
+    return s.build(m, [next(slices) if isinstance(k, Expr) else CHole() for k in s.kids(m)])

@@ -14,8 +14,9 @@ term equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Source spans
@@ -138,14 +139,14 @@ class EFun(Expr):
 
     fname: str
     xname: str
-    body: "Comp"
+    body: Comp
     span: OptSpan = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class EPrim(Expr):
     op: str
-    args: tuple
+    args: tuple[Expr, ...]
     span: OptSpan = field(default=None, compare=False, repr=False)
 
 
@@ -315,7 +316,7 @@ class VInr(Value):
 
 @dataclass(frozen=True)
 class VClosure(Value):
-    env: "Env"
+    env: Env
     fname: str
     xname: str
     body: Comp
@@ -756,61 +757,98 @@ class TFail(Trace):
     path: tuple
 
 
-def _trace_outcome(t: Trace) -> str:
-    match t:
-        case THole(_, outcome):
-            return outcome
-        case TRet() | TTrySucc() | TRef() | TAssign() | TDeref() | TArrMake() | TArrGet() | TArrSet():
-            return VAL
-        case TRaise() | TLetFail() | TFail():
-            return EXN
-        case TLetSucc(_, _, body) | TTryFail(_, _, body):
-            return body.k
-        case TApp(body=body) | TCaseInl(body=body) | TCaseInr(body=body):
-            return body.k
-        case TIfTrue(_, body) | TIfFalse(_, body):
-            return body.k
-    raise TypeError(f"not a trace: {t!r}")
+# ---------------------------------------------------------------------------
+# Term schema.  Every concrete expression, computation, value and trace
+# class is described once, from its field annotations: which fields hold
+# child terms (in field order) and which hold atoms (names, operators,
+# literals, locations, failure paths).  Source spans are neither.  The
+# prefix lattice, child traversal and slice rebuilding all run off it.
+
+# annotations that mark a child term; every other annotated field is an atom
+_CHILD_TYPES = frozenset({"Expr", "Comp", "Value", "Env", "Trace", "tuple[Expr, ...]"})
+
+
+class Schema(NamedTuple):
+    category: type           # Expr, Comp, Value or Trace
+    children: tuple          # names of the child-term fields, in field order
+    atoms: tuple             # names of the atom fields
+    kids: Callable           # node -> its children, in field order
+    atom_values: Callable    # node -> its atoms, in field order
+    build: Callable          # (node, kids) -> fresh node with the same atoms
+
+
+def _getter(names: tuple) -> Callable:
+    """node -> tuple of the named fields."""
+    if not names:
+        return lambda node: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names)
+
+
+def _schema(cls: type, category: type) -> Schema:
+    types = {f.name: f.type for f in fields(cls) if f.name != "span"}
+    children = tuple(n for n in types if types[n] in _CHILD_TYPES)
+    atoms = tuple(n for n in types if n not in children)
+    atom_values = _getter(atoms)
+    if atoms:
+        # constructor arguments in field order: (is a child, index)
+        order = tuple((True, children.index(n)) if n in children else (False, atoms.index(n))
+                      for n in types)
+
+        def build(node, kids):
+            avs = atom_values(node)
+            return cls(*[kids[i] if child else avs[i] for child, i in order])
+    else:
+        def build(node, kids):
+            return cls(*kids)
+    return Schema(category, children, atoms, _getter(children), atom_values, build)
+
+
+def _typed_children(category: type, annotation: str) -> dict:
+    return {
+        cls: _getter(tuple(f.name for f in fields(cls) if f.type == annotation))
+        for cls in category.__subclasses__()
+    }
+
+
+SCHEMA = {
+    cls: _schema(cls, category)
+    for category in (Expr, Comp, Value, Trace)
+    for cls in category.__subclasses__()
+}
+_COMP_EXPRS = _typed_children(Comp, "Expr")
+_TRACE_CHILDREN = _typed_children(Trace, "Trace")
+
+
+def term_children(node) -> tuple:
+    """Child terms of a node in field order, EPrim's arguments spliced in;
+    TFail paths index expressions by this order."""
+    if type(node) is EPrim:
+        return node.args
+    return SCHEMA[type(node)].kids(node)
 
 
 def comp_exprs(m: Comp) -> tuple:
     """Immediate expressions of a computation, in evaluation order."""
-    match m:
-        case CRet(e) | CRaise(e) | CRef(e) | CDeref(e):
-            return (e,)
-        case CApp(f, a):
-            return (f, a)
-        case CCase(scrutinee=e) | CIf(cond=e):
-            return (e,)
-        case CAssign(t, e):
-            return (t, e)
-        case CArrMake(n, i):
-            return (n, i)
-        case CArrGet(a, i):
-            return (a, i)
-        case CArrSet(a, i, e):
-            return (a, i, e)
-        case _:
-            return ()
+    return _COMP_EXPRS[type(m)](m)
 
 
 def trace_children(t: Trace) -> tuple:
     """Sub-traces of t in evaluation order."""
-    match t:
-        case TLetSucc(_, bound, body):
-            return (bound, body)
-        case TLetFail(bound):
-            return (bound,)
-        case TApp(body=body) | TCaseInl(body=body) | TCaseInr(body=body):
-            return (body,)
-        case TIfTrue(_, body) | TIfFalse(_, body):
-            return (body,)
-        case TTrySucc(body):
-            return (body,)
-        case TTryFail(body, _, handler):
-            return (body, handler)
-        case _:
-            return ()
+    return _TRACE_CHILDREN[type(t)](t)
+
+
+def _trace_outcome(t: Trace) -> str:
+    """A trace ends as its last sub-trace does; a leaf returns unless it
+    raised."""
+    if type(t) is THole:
+        return t.outcome
+    if type(t) in (TRaise, TLetFail, TFail):
+        return EXN
+    kids = trace_children(t)
+    return kids[-1].k if kids else VAL
 
 
 def trace_local_writes(t: Trace) -> frozenset:
@@ -826,13 +864,6 @@ def trace_local_writes(t: Trace) -> frozenset:
             return frozenset(((loc, at),))
         case _:
             return frozenset()
-
-
-# ---------------------------------------------------------------------------
-# Structural equality, span-insensitive (spans are compare=False fields).
-
-def equal_terms(a, b) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -1009,52 +1040,17 @@ def hole_regions(original, sliced) -> list:
     return sorted(set(out), key=lambda s: (s.start, s.end))
 
 
-def _subterms(node) -> tuple:
-    """Child terms (Expr/Comp only) of a core node, in field order."""
-    match node:
-        case EPair(a, b):
-            return (a, b)
-        case EFst(a) | ESnd(a) | EInl(a) | EInr(a):
-            return (a,)
-        case EFun(_, _, body):
-            return (body,)
-        case EPrim(_, args):
-            return args
-        case CRet(e) | CRaise(e) | CRef(e) | CDeref(e):
-            return (e,)
-        case CLet(_, bound, body):
-            return (bound, body)
-        case CApp(f, a):
-            return (f, a)
-        case CCase(e, _, left, _, right):
-            return (e, left, right)
-        case CIf(c, t, e):
-            return (c, t, e)
-        case CTry(body, _, handler):
-            return (body, handler)
-        case CAssign(t, e):
-            return (t, e)
-        case CArrMake(n, i):
-            return (n, i)
-        case CArrGet(a, i):
-            return (a, i)
-        case CArrSet(a, i, e):
-            return (a, i, e)
-        case _:
-            return ()
-
-
 def subtree_extent(node) -> OptSpan:
     """Smallest span covering every span-carrying node of the subtree."""
     lo = hi = None
     stack = [node]
     while stack:
         t = stack.pop()
-        span = getattr(t, "span", None)
+        span = t.span
         if span is not None:
             lo = span.start if lo is None else min(lo, span.start)
             hi = span.end if hi is None else max(hi, span.end)
-        stack.extend(_subterms(t))
+        stack.extend(term_children(t))
     return None if lo is None else Span(lo, hi)
 
 
@@ -1068,7 +1064,7 @@ def _hole_regions(original, sliced, out: list) -> None:
         raise ValueError(
             f"slice is not a prefix of the original: {type(sliced).__name__} vs {type(original).__name__}"
         )
-    for orig_child, sliced_child in zip(_subterms(original), _subterms(sliced)):
+    for orig_child, sliced_child in zip(term_children(original), term_children(sliced)):
         _hole_regions(orig_child, sliced_child, out)
 
 

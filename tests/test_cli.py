@@ -117,7 +117,9 @@ def test_oracle_command():
     assert proc.returncode == 0
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert lines[-1] == {"seeds": 5, "failures": 0}
-    assert all(rec["ok"] for rec in lines[:-1])
+    for rec in lines[:-1]:
+        assert rec["ok"]
+        assert {"adjunction", "minimality", "meet", "join"} <= set(rec["checks"])
 
 
 def test_step_limit_env_var(tmp_path):

@@ -14,7 +14,6 @@ from itml.slicer import Criterion, bwd_comp, validate_criterion
 from itml.syntax import (
     CApp, CHole, CLet, CRet, EHole, ENum, EUnit, EVar, EMPTY_ENV,
     EMPTY_STORE, Result, VNum, VStr, VUnit, HOLE, VAL, EXN, render_comp,
-    equal_terms,
 )
 
 from conftest import program_text
@@ -185,14 +184,14 @@ def test_render_parse_round_trip(seed, budget):
     core = generate_program(seed, budget)
     text = render_comp(core)
     reparsed, _ = elab(text)
-    assert equal_terms(reparsed, core), text
+    assert reparsed == core, text
 
 
 def test_round_trip_with_holes():
     core = CLet("x", CHole(), CRet(EHole()))
     text = render_comp(core)
     reparsed, _ = elab(text)
-    assert equal_terms(reparsed, core)
+    assert reparsed == core
 
 
 def test_admin_names_do_not_collide():

@@ -12,7 +12,7 @@ from itml.syntax import (
     CRef, CRet, CTry, EBool, EFun, EFst, EHole, ENum, EPair, EPrim, EStr,
     EUnit, EVar, EMPTY_ENV, EMPTY_STORE, Env, Result, ScalarCell, Store,
     TFail, THole, VArr, VBool, VClosure, VLoc, VNum, VPair, VStr, VUnit,
-    HOLE, UNIT, VAL, EXN, equal_terms,
+    HOLE, UNIT, VAL, EXN,
 )
 
 
@@ -58,7 +58,7 @@ def test_ret_unit():
     record = run(CRet(EUnit()))
     assert record.result == Result(VAL, UNIT)
     assert record.out_store == EMPTY_STORE
-    assert equal_terms(record.trace, record.trace)
+    assert record.trace == record.trace
 
 
 def test_ref_assign_deref():

@@ -14,10 +14,15 @@ from itml.oracle import generate_run
 from itml.syntax import (
     CRet, EHole, ENum, EPair, EPrim, EVar, EMPTY_ENV, EMPTY_STORE, Env,
     Result, ScalarCell, ArrayCell, Store, THole, TRef, TRaise, TRet,
-    TLetSucc, VNum, VPair, HOLE, VAL, EXN,
+    TLetSucc, VClosure, VNum, VPair, HOLE, VAL, EXN,
 )
 
 PAIR12 = EPair(ENum(1), ENum(2))
+# one term of each category without a generated run to supply it
+CLOSURE = VClosure(Env({"y": VNum(2)}), "f", "x", CRet(EPrim("+", (EVar("x"), EVar("y")))))
+ENV = Env({"p": VPair(VNum(1), VNum(1.0)), "f": CLOSURE})
+STORE = Store({0: ScalarCell(VNum(5)), 1: ArrayCell(3, {0: VNum(1), 2: VPair(VNum(2), HOLE)})})
+PARTIAL_TRACE = TLetSucc("x", THole(frozenset([0]), VAL), TRet(EVar("x")))
 
 
 def test_leq_pair_prefix():
@@ -119,8 +124,12 @@ def test_enumerate_cap():
 
 def test_every_enumerated_prefix_is_leq():
     run = generate_run(5)
-    for t in (run.program, run.trace, run.out_store, run.result):
-        for p in enumerate_prefixes(t, 64):
+    for t in (PAIR12, CLOSURE, ENV, STORE, PARTIAL_TRACE, run.env, run.store,
+              run.program, run.trace, run.out_store, run.result):
+        prefixes = list(enumerate_prefixes(t, 64))
+        assert len(prefixes) == len(set(prefixes)) == lattice_size(t)
+        assert meet(t, t) is t
+        for p in prefixes:
             assert leq(p, t)
 
 
@@ -148,7 +157,8 @@ def test_partial_order_laws(seed):
 def test_lattice_laws_within_prefixes(seed):
     rng = random.Random(seed)
     run = generate_run(seed, max_budget=2)
-    for t in (run.program, run.trace):
+    for t in (run.program, run.trace, run.env, run.store, run.out_store,
+              run.result, ENV, STORE):
         a, b = _random_prefix(rng, t), _random_prefix(rng, t)
         m, j = meet(a, b), join(a, b)
         assert leq(m, a) and leq(m, b)

@@ -14,7 +14,7 @@ from itml.oracle import generate_run
 from itml.slicer import Criterion, bwd_comp, fwd_comp
 from itml.syntax import (
     EMPTY_ENV, EMPTY_STORE, Result, ScalarCell, ArrayCell, VNum, HOLE, VAL,
-    _subterms,
+    term_children,
 )
 
 from conftest import program_text
@@ -216,13 +216,13 @@ def test_prefix_witness():
 # Span provenance: child spans nest inside parent spans.
 
 def _walk_spans(node, bound=None):
-    span = getattr(node, "span", None)
+    span = node.span
     if span is not None:
         if bound is not None:
             assert bound.start <= span.start and span.end <= bound.end, \
                 f"span {span} escapes {bound} at {type(node).__name__}"
         bound = span
-    for child in _subterms(node):
+    for child in term_children(node):
         _walk_spans(child, bound)
 
 

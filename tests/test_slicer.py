@@ -182,3 +182,15 @@ def test_fwd_program_trace_shape_mismatch_raises():
     run = _ref_assign_run()
     with pytest.raises(ShapeMismatchError):
         fwd_comp(EMPTY_ENV, EMPTY_STORE, CRet(ENum(1)), run.trace)
+
+
+def test_bwd_rejects_a_reloaded_dump():
+    # dumps carry no environment decorations, which backward slicing reads
+    from itml.frontend import parse_and_elaborate, parse_criterion
+    from itml.interp import dump_trace, load_trace
+    from conftest import program_text
+
+    core, _ = parse_and_elaborate(program_text("loop_array.itml"))
+    run = eval_comp(EMPTY_ENV, EMPTY_STORE, core)
+    with pytest.raises(ShapeMismatchError, match="no environment decorations"):
+        bwd_comp(parse_criterion("!s = 2", run), load_trace(dump_trace(run.trace)))

@@ -1,11 +1,14 @@
 """Term construction, span-insensitive equality, rendering."""
 
+import dataclasses
+
 import pytest
 
 from itml.syntax import (
+    SCHEMA, Comp, Expr, Trace, Value,
     CAssign, CHole, CLet, CRef, CRet, EHole, ENum, EPair, EPrim, EVar, Env,
     Span, Store, ScalarCell, ArrayCell, VHole, VNum, VPair, HOLE,
-    equal_terms, hole_regions, merge_regions, render_comp, render_expr,
+    hole_regions, merge_regions, render_comp, render_expr,
     render_term, render_value, shade_source, subtree_extent,
 )
 
@@ -30,16 +33,16 @@ def test_render_precedence():
 def test_equal_terms_ignores_spans():
     a = CRet(ENum(1, span=Span(0, 1)), span=Span(0, 10))
     b = CRet(ENum(1, span=Span(5, 6)), span=Span(2, 12))
-    assert equal_terms(a, b)
-    assert not equal_terms(CRet(ENum(1)), CRet(EHole()))
-    assert equal_terms(EHole(), EHole())
+    assert a == b
+    assert CRet(ENum(1)) != CRet(EHole())
+    assert EHole() == EHole()
 
 
 def test_equal_terms_is_equivalence():
     terms = [CRet(ENum(1)), CRet(ENum(1)), CRet(ENum(2)), CHole()]
     for t in terms:
-        assert equal_terms(t, t)
-    assert equal_terms(terms[0], terms[1]) == equal_terms(terms[1], terms[0])
+        assert t == t
+    assert (terms[0] == terms[1]) == (terms[1] == terms[0])
 
 
 def test_int_and_float_literals_differ():
@@ -112,3 +115,26 @@ def test_render_shaded_marks_elision():
     sliced = CLet("x", CRef(EHole()), CAssign(EVar("x"), ENum(2)))
     out = render_term(sliced, mode="shaded", original=original, source=source)
     assert out == "let x = ref ⟦1⟧ in x := 2"
+
+
+# Annotations an atom field may carry.  A term behind any other annotation
+# (say Optional[Expr]) would be compared as an atom, so it must fail here.
+ATOM_ANNOTATIONS = {"str", "bool", "int", "Loc", "Union[int, float]", "frozenset", "tuple"}
+
+
+def _subclasses(base):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _subclasses(cls)
+
+
+def test_schema_describes_every_term_class():
+    for category in (Expr, Comp, Value, Trace):
+        for cls in _subclasses(category):
+            schema = SCHEMA[cls]
+            assert schema.category is category
+            types = {f.name: f.type for f in dataclasses.fields(cls) if f.name != "span"}
+            assert sorted(schema.children + schema.atoms) == sorted(types), cls
+            assert list(schema.children) == [n for n in types if n in schema.children]
+            for name in schema.atoms:
+                assert types[name] in ATOM_ANNOTATIONS, f"{cls.__name__}.{name}: {types[name]}"
