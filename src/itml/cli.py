@@ -13,7 +13,7 @@ import sys
 import threading
 
 from .frontend import (
-    CriterionError, ElabError, ElaborationMap, SourceError, elaborate,
+    CriterionError, ElabError, SourceError, elaborate,
     parse_criterion, parse_program, render_slice, slice_regions,
 )
 from .interp import (
@@ -154,25 +154,19 @@ def _trace_stats(trace: Trace) -> tuple:
     return nodes, holes
 
 
-def _slice_run(text: str, core: Comp, emap: ElaborationMap, criterion_text: str):
+def _slice_run(core: Comp, criterion_text: str):
     run = _run_core(core)
     try:
         criterion = parse_criterion(criterion_text, run)
         validate_criterion(criterion, run)
     except (CriterionError, SourceError, ShapeMismatchError) as exc:
         raise CliError(EXIT_SLICE, f"bad criterion: {exc}") from exc
-    out = run_deep(bwd_comp, criterion, run.trace)
-    return run, criterion, out
+    return run, run_deep(bwd_comp, criterion, run.trace)
 
 
 def cmd_slice(args) -> int:
-    text, core, emap = _slice_and_print(args)
-    return EXIT_OK
-
-
-def _slice_and_print(args):
     text, core, emap = _load_program(args.file)
-    run, _criterion, out = _slice_run(text, core, emap, args.criterion)
+    run, out = _slice_run(core, args.criterion)
     if args.format == "json":
         regions = [
             {"start": r.start, "end": r.end, "text": text[r.start:r.end]}
@@ -190,7 +184,17 @@ def _slice_and_print(args):
         nodes, holes = _trace_stats(out.trace)
         total, _ = _trace_stats(run.trace)
         print(f"-- trace: {nodes} nodes ({holes} holes) from {total}", file=sys.stderr)
-    return text, core, emap
+    return EXIT_OK
+
+
+def _print_fwd(store, result) -> None:
+    print(render_result(result))
+    for loc, cell in sorted(store.cells()):
+        if isinstance(cell, ScalarCell):
+            print(f"#{loc} = {render_value(cell.value)}")
+        else:
+            items = ",".join(render_value(cell.get(i)) for i in range(cell.length))
+            print(f"#{loc} = [{items}]")
 
 
 def cmd_fwd(args) -> int:
@@ -204,13 +208,7 @@ def cmd_fwd(args) -> int:
         store, result = run_deep(fwd_comp, EMPTY_ENV, EMPTY_STORE, core, trace)
     except ShapeMismatchError as exc:
         raise CliError(EXIT_SHAPE, f"program does not fit the trace: {exc}") from exc
-    print(render_result(result))
-    for loc, cell in sorted(store.cells()):
-        if isinstance(cell, ScalarCell):
-            print(f"#{loc} = {render_value(cell.value)}")
-        else:
-            items = ",".join(render_value(cell.get(i)) for i in range(cell.length))
-            print(f"#{loc} = [{items}]")
+    _print_fwd(store, result)
     return EXIT_OK
 
 
@@ -278,8 +276,7 @@ def cmd_repl(args) -> int:
             elif line.startswith(":slice"):
                 _need(state, "text")
                 crit = line.split(None, 1)[1] if " " in line else ""
-                _run, _criterion, out = _slice_run(
-                    state["text"], state["core"], state["emap"], crit)
+                _run, out = _slice_run(state["core"], crit)
                 print(render_slice(out.program, state["emap"], state["text"]))
             elif line.startswith(":fwd"):
                 _need(state, "text")
@@ -287,15 +284,8 @@ def cmd_repl(args) -> int:
                     state["run"] = _run_core(state["core"])
                 path = line.split(None, 1)[1]
                 _ptext, pcore, _pemap = _load_program(path)
-                store, result = run_deep(
-                    fwd_comp, EMPTY_ENV, EMPTY_STORE, pcore, state["run"].trace)
-                print(render_result(result))
-                for loc, cell in sorted(store.cells()):
-                    if isinstance(cell, ScalarCell):
-                        print(f"#{loc} = {render_value(cell.value)}")
-                    else:
-                        items = ",".join(render_value(cell.get(i)) for i in range(cell.length))
-                        print(f"#{loc} = [{items}]")
+                _print_fwd(*run_deep(
+                    fwd_comp, EMPTY_ENV, EMPTY_STORE, pcore, state["run"].trace))
             else:
                 # evaluate a one-off program text
                 program = parse_program(line)

@@ -15,10 +15,13 @@ computation before any of its store effects happen.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional, Union
+import re
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Optional
 
 from .syntax import (
+    BINARY_OPS, SCHEMA, UNARY_OPS, comp_exprs,
     Comp, CApp, CArrGet, CArrMake, CArrSet, CAssign, CCase, CDeref, CHole,
     CIf, CLet, CRaise, CRef, CRet, CTry,
     Expr, EBool, EFun, EHole, ENum, EPair, EPrim, EStr, EUnit, EVar,
@@ -397,8 +400,6 @@ def locate_failure(env: Env, m: Comp) -> tuple:
     """Pinpoint the raise inside a computation whose pre-effect phase
     signalled: either a division within one of its expressions, or the
     node's own length/bounds check."""
-    from .syntax import comp_exprs
-
     for i, e in enumerate(comp_exprs(m)):
         try:
             _probe_expr(env, e, ())
@@ -436,363 +437,270 @@ def replay_check(run: RunRecord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trace dump format: s-expressions, one computation node per line, nested
-# sub-traces indented, embedded expressions inline.  Locations print as #k
-# (array elements #k[i]).  Stable across runs: allocation is deterministic.
+# Trace dump format: s-expressions, one trace node per line, sub-traces one
+# indent deeper, expressions and computations inline, locations as #k (array
+# elements #k[i]), stable across runs.  DUMP_FORMAT gives each dumped class
+# its tag and field order; a field's annotation picks how it is written and
+# read (_FIELD_KINDS).  Only the literals (`_`, true/false, numbers, strings)
+# are special.  Tags resolve per category: `ret`, `app` and others name both
+# a computation and a trace.
 
-def _dump_str(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _dump_num(n: Union[int, float]) -> str:
-    return repr(n) if isinstance(n, float) else str(n)
-
-
-def dump_expr(e: Expr) -> str:
-    match e:
-        case EHole():
-            return "_"
-        case EVar(x):
-            return f"(var {x})"
-        case EUnit():
-            return "(unit)"
-        case EBool(b):
-            return "true" if b else "false"
-        case ENum(n):
-            return _dump_num(n)
-        case EStr(s):
-            return _dump_str(s)
-        case EPair(a, b):
-            return f"(pair {dump_expr(a)} {dump_expr(b)})"
-        case EFst(a):
-            return f"(fst {dump_expr(a)})"
-        case ESnd(a):
-            return f"(snd {dump_expr(a)})"
-        case EInl(a):
-            return f"(inl {dump_expr(a)})"
-        case EInr(a):
-            return f"(inr {dump_expr(a)})"
-        case EFun(f, x, body):
-            return f"(fun {f} {x} {dump_comp(body)})"
-        case EPrim(op, args):
-            return f"(prim {op} {' '.join(dump_expr(a) for a in args)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def dump_comp(m: Comp) -> str:
-    match m:
-        case CHole():
-            return "_"
-        case CRet(e):
-            return f"(ret {dump_expr(e)})"
-        case CLet(x, b, c):
-            return f"(let {x} {dump_comp(b)} {dump_comp(c)})"
-        case CApp(f, a):
-            return f"(app {dump_expr(f)} {dump_expr(a)})"
-        case CCase(e, lx, l, ry, r):
-            return f"(case {dump_expr(e)} {lx} {dump_comp(l)} {ry} {dump_comp(r)})"
-        case CIf(c, t, e):
-            return f"(if {dump_expr(c)} {dump_comp(t)} {dump_comp(e)})"
-        case CRaise(e):
-            return f"(raise {dump_expr(e)})"
-        case CTry(b, x, h):
-            return f"(try {dump_comp(b)} {x} {dump_comp(h)})"
-        case CRef(e):
-            return f"(ref {dump_expr(e)})"
-        case CAssign(t, e):
-            return f"(assign {dump_expr(t)} {dump_expr(e)})"
-        case CDeref(e):
-            return f"(deref {dump_expr(e)})"
-        case CArrMake(n, i):
-            return f"(arr-make {dump_expr(n)} {dump_expr(i)})"
-        case CArrGet(a, i):
-            return f"(arr-get {dump_expr(a)} {dump_expr(i)})"
-        case CArrSet(a, i, e):
-            return f"(arr-set {dump_expr(a)} {dump_expr(i)} {dump_expr(e)})"
-    raise TypeError(f"not a computation: {m!r}")
+DUMP_FORMAT = {
+    EVar: "var name",
+    EUnit: "unit",
+    EPair: "pair fst snd",
+    EFst: "fst arg",
+    ESnd: "snd arg",
+    EInl: "inl arg",
+    EInr: "inr arg",
+    EFun: "fun fname xname body",
+    EPrim: "prim op args",
+    CRet: "ret expr",
+    CLet: "let name bound body",
+    CApp: "app fn arg",
+    CCase: "case scrutinee lname left rname right",
+    CIf: "if cond then els",
+    CRaise: "raise expr",
+    CTry: "try body name handler",
+    CRef: "ref expr",
+    CAssign: "assign target expr",
+    CDeref: "deref expr",
+    CArrMake: "arr-make length init",
+    CArrGet: "arr-get arr index",
+    CArrSet: "arr-set arr index expr",
+    THole: "hole locs outcome",
+    TRet: "ret expr",
+    TLetSucc: "let-s name bound body",
+    TLetFail: "let-f name bound",
+    TApp: "app fn arg fname xname body",
+    TCaseInl: "case-l scrutinee lname rname body",
+    TCaseInr: "case-r scrutinee lname rname body",
+    TIfTrue: "if-t cond body",
+    TIfFalse: "if-f cond body",
+    TRaise: "raise expr",
+    TTrySucc: "try-s name body",
+    TTryFail: "try-f name body handler",
+    TRef: "ref loc expr",
+    TAssign: "assign target loc expr",
+    TDeref: "deref loc expr",
+    TArrMake: "arr-make loc length length_expr init",
+    TArrGet: "arr-get arr index loc at",
+    TArrSet: "arr-set arr index loc at expr",
+    TFail: "fail path comp",
+}
 
 
-def _dump_lockey(key) -> str:
-    if isinstance(key, tuple):
-        return f"#{key[0]}[{key[1]}]"
-    return f"#{key}"
+class TraceParseError(Exception):
+    """A trace dump is malformed."""
 
 
-def dump_trace(t: Trace, indent: int = 0) -> str:
-    pad = "  " * indent
-    nxt = indent + 1
+# --- writer ----------------------------------------------------------------
 
-    def sub(child: Trace) -> str:
-        return dump_trace(child, nxt)
-
-    match t:
-        case THole(locs, k):
-            keys = " ".join(_dump_lockey(x) for x in sorted(locs, key=_lockey_sort))
-            return f"{pad}(hole ({keys}) {k})"
-        case TRet(e):
-            return f"{pad}(ret {dump_expr(e)})"
-        case TLetSucc(x, t1, t2):
-            return f"{pad}(let-s {x}\n{sub(t1)}\n{sub(t2)})"
-        case TLetFail(t1, x):
-            return f"{pad}(let-f {x}\n{sub(t1)})"
-        case TApp(e1, e2, f, x, body):
-            return f"{pad}(app {dump_expr(e1)} {dump_expr(e2)} {f} {x}\n{sub(body)})"
-        case TCaseInl(e, lx, body, ry):
-            return f"{pad}(case-l {dump_expr(e)} {lx} {ry}\n{sub(body)})"
-        case TCaseInr(e, lx, ry, body):
-            return f"{pad}(case-r {dump_expr(e)} {lx} {ry}\n{sub(body)})"
-        case TIfTrue(c, body):
-            return f"{pad}(if-t {dump_expr(c)}\n{sub(body)})"
-        case TIfFalse(c, body):
-            return f"{pad}(if-f {dump_expr(c)}\n{sub(body)})"
-        case TRaise(e):
-            return f"{pad}(raise {dump_expr(e)})"
-        case TTrySucc(body, x):
-            return f"{pad}(try-s {x}\n{sub(body)})"
-        case TTryFail(body, x, handler):
-            return f"{pad}(try-f {x}\n{sub(body)}\n{sub(handler)})"
-        case TRef(loc, e):
-            return f"{pad}(ref #{loc} {dump_expr(e)})"
-        case TAssign(e1, loc, e2):
-            return f"{pad}(assign {dump_expr(e1)} #{loc} {dump_expr(e2)})"
-        case TDeref(loc, e):
-            return f"{pad}(deref #{loc} {dump_expr(e)})"
-        case TArrMake(loc, n, e1, e2):
-            return f"{pad}(arr-make #{loc} {n} {dump_expr(e1)} {dump_expr(e2)})"
-        case TArrGet(e1, e2, loc, i):
-            return f"{pad}(arr-get {dump_expr(e1)} {dump_expr(e2)} #{loc} {i})"
-        case TArrSet(e1, e2, loc, i, e3):
-            return f"{pad}(arr-set {dump_expr(e1)} {dump_expr(e2)} #{loc} {i} {dump_expr(e3)})"
-        case TFail(m, path):
-            items = " ".join(str(p) for p in path)
-            return f"{pad}(fail ({items}) {dump_comp(m)})"
-    raise TypeError(f"not a trace: {t!r}")
+def dump_trace(t: Trace) -> str:
+    """The text of t in the dump format; its last line has no newline."""
+    out: list = []
+    _write(t, out, "")
+    return "".join(out)
 
 
-def _lockey_sort(key):
-    if isinstance(key, tuple):
-        return (key[0], key[1] + 1)
-    return (key, 0)
+def _write(node, out: list, pad: str) -> None:
+    """Append node's text; pad is the indent of the line it starts on."""
+    fmt = _WRITERS.get(type(node))
+    if fmt is None:
+        out.append(_literal(node))
+        return
+    head, puts = fmt
+    out.append(head)
+    for get, put in puts:
+        put(get(node), out, pad)
+    out.append(")")
+
+
+def _literal(node) -> str:
+    cls = type(node)
+    if cls is EHole or cls is CHole:
+        return "_"
+    if cls is EBool:
+        return "true" if node.value else "false"
+    if cls is ENum:
+        return str(node.value)
+    if cls is EStr:
+        return '"' + node.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"not a dumpable term: {node!r}")
+
+
+def _put_term(v, out: list, pad: str) -> None:
+    out.append(" ")
+    _write(v, out, pad)
+
+
+def _put_terms(vs, out: list, pad: str) -> None:
+    for v in vs:
+        _put_term(v, out, pad)
+
+
+def _put_trace(v, out: list, pad: str) -> None:
+    pad += "  "
+    out.append("\n" + pad)
+    _write(v, out, pad)
+
+
+def _put_locs(keys, out: list, pad: str) -> None:
+    # a location sorts just before its elements
+    keys = sorted(keys, key=lambda k: (k[0], k[1] + 1) if isinstance(k, tuple) else (k, 0))
+    texts = (f"#{k[0]}[{k[1]}]" if isinstance(k, tuple) else f"#{k}" for k in keys)
+    out.append(" (" + " ".join(texts) + ")")
 
 
 # --- reader ----------------------------------------------------------------
 
-class TraceParseError(Exception):
-    pass
-
-
-def _tokenize(text: str) -> list:
-    out: list = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            out.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(text[j + 1], text[j + 1]))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise TraceParseError("unterminated string")
-            out.append(("str", "".join(buf)))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(("atom", text[i:j]))
-            i = j
-    return out
-
-
-def _read_sexp(tokens: list, pos: int):
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while tokens[pos] != ")":
-            item, pos = _read_sexp(tokens, pos)
-            items.append(item)
-        return items, pos + 1
-    if tok == ")":
-        raise TraceParseError("unexpected )")
-    return tok, pos + 1
-
-
-def _is_atom(x, name: Optional[str] = None) -> bool:
-    return isinstance(x, tuple) and x[0] == "atom" and (name is None or x[1] == name)
-
-
-def _atom_name(x) -> str:
-    if not (isinstance(x, tuple) and x[0] == "atom"):
-        raise TraceParseError(f"expected a name, got {x!r}")
-    return x[1]
-
-
-def _parse_num(text: str):
-    if any(c in text for c in ".eE") and not text.lstrip("-").isdigit():
-        return float(text)
-    return int(text)
-
-
-def _sexp_expr(x) -> Expr:
-    if _is_atom(x, "_"):
-        return EHole()
-    if _is_atom(x, "true"):
-        return EBool(True)
-    if _is_atom(x, "false"):
-        return EBool(False)
-    if isinstance(x, tuple) and x[0] == "str":
-        return EStr(x[1])
-    if isinstance(x, tuple) and x[0] == "atom":
-        return ENum(_parse_num(x[1]))
-    tag = _atom_name(x[0])
-    args = x[1:]
-    match tag:
-        case "var":
-            return EVar(_atom_name(args[0]))
-        case "unit":
-            return EUnit()
-        case "pair":
-            return EPair(_sexp_expr(args[0]), _sexp_expr(args[1]))
-        case "fst":
-            return EFst(_sexp_expr(args[0]))
-        case "snd":
-            return ESnd(_sexp_expr(args[0]))
-        case "inl":
-            return EInl(_sexp_expr(args[0]))
-        case "inr":
-            return EInr(_sexp_expr(args[0]))
-        case "fun":
-            return EFun(_atom_name(args[0]), _atom_name(args[1]), _sexp_comp(args[2]))
-        case "prim":
-            return EPrim(_atom_name(args[0]), tuple(_sexp_expr(a) for a in args[1:]))
-    raise TraceParseError(f"unknown expression tag {tag}")
-
-
-def _sexp_comp(x) -> Comp:
-    if _is_atom(x, "_"):
-        return CHole()
-    tag = _atom_name(x[0])
-    args = x[1:]
-    match tag:
-        case "ret":
-            return CRet(_sexp_expr(args[0]))
-        case "let":
-            return CLet(_atom_name(args[0]), _sexp_comp(args[1]), _sexp_comp(args[2]))
-        case "app":
-            return CApp(_sexp_expr(args[0]), _sexp_expr(args[1]))
-        case "case":
-            return CCase(_sexp_expr(args[0]), _atom_name(args[1]), _sexp_comp(args[2]),
-                         _atom_name(args[3]), _sexp_comp(args[4]))
-        case "if":
-            return CIf(_sexp_expr(args[0]), _sexp_comp(args[1]), _sexp_comp(args[2]))
-        case "raise":
-            return CRaise(_sexp_expr(args[0]))
-        case "try":
-            return CTry(_sexp_comp(args[0]), _atom_name(args[1]), _sexp_comp(args[2]))
-        case "ref":
-            return CRef(_sexp_expr(args[0]))
-        case "assign":
-            return CAssign(_sexp_expr(args[0]), _sexp_expr(args[1]))
-        case "deref":
-            return CDeref(_sexp_expr(args[0]))
-        case "arr-make":
-            return CArrMake(_sexp_expr(args[0]), _sexp_expr(args[1]))
-        case "arr-get":
-            return CArrGet(_sexp_expr(args[0]), _sexp_expr(args[1]))
-        case "arr-set":
-            return CArrSet(_sexp_expr(args[0]), _sexp_expr(args[1]), _sexp_expr(args[2]))
-    raise TraceParseError(f"unknown computation tag {tag}")
-
-
-def _parse_loc(x) -> int:
-    name = _atom_name(x)
-    if not name.startswith("#"):
-        raise TraceParseError(f"expected a location, got {name}")
-    return int(name[1:])
-
-
-def _parse_lockey(x):
-    name = _atom_name(x)
-    if not name.startswith("#"):
-        raise TraceParseError(f"expected a location key, got {name}")
-    if "[" in name:
-        loc, idx = name[1:-1].split("[")
-        return (int(loc), int(idx))
-    return int(name[1:])
-
-
-def _sexp_trace(x) -> Trace:
-    tag = _atom_name(x[0])
-    args = x[1:]
-    match tag:
-        case "hole":
-            locs = frozenset(_parse_lockey(k) for k in args[0])
-            return THole(locs, _atom_name(args[1]))
-        case "ret":
-            return TRet(_sexp_expr(args[0]))
-        case "let-s":
-            return TLetSucc(_atom_name(args[0]), _sexp_trace(args[1]), _sexp_trace(args[2]))
-        case "let-f":
-            return TLetFail(_sexp_trace(args[1]), _atom_name(args[0]))
-        case "app":
-            return TApp(_sexp_expr(args[0]), _sexp_expr(args[1]),
-                        _atom_name(args[2]), _atom_name(args[3]), _sexp_trace(args[4]))
-        case "case-l":
-            return TCaseInl(_sexp_expr(args[0]), _atom_name(args[1]),
-                            _sexp_trace(args[3]), _atom_name(args[2]))
-        case "case-r":
-            return TCaseInr(_sexp_expr(args[0]), _atom_name(args[1]),
-                            _atom_name(args[2]), _sexp_trace(args[3]))
-        case "if-t":
-            return TIfTrue(_sexp_expr(args[0]), _sexp_trace(args[1]))
-        case "if-f":
-            return TIfFalse(_sexp_expr(args[0]), _sexp_trace(args[1]))
-        case "raise":
-            return TRaise(_sexp_expr(args[0]))
-        case "try-s":
-            return TTrySucc(_sexp_trace(args[1]), _atom_name(args[0]))
-        case "try-f":
-            return TTryFail(_sexp_trace(args[1]), _atom_name(args[0]), _sexp_trace(args[2]))
-        case "ref":
-            return TRef(_parse_loc(args[0]), _sexp_expr(args[1]))
-        case "assign":
-            return TAssign(_sexp_expr(args[0]), _parse_loc(args[1]), _sexp_expr(args[2]))
-        case "deref":
-            return TDeref(_parse_loc(args[0]), _sexp_expr(args[1]))
-        case "arr-make":
-            return TArrMake(_parse_loc(args[0]), int(_atom_name(args[1])),
-                            _sexp_expr(args[2]), _sexp_expr(args[3]))
-        case "arr-get":
-            return TArrGet(_sexp_expr(args[0]), _sexp_expr(args[1]),
-                           _parse_loc(args[2]), int(_atom_name(args[3])))
-        case "arr-set":
-            return TArrSet(_sexp_expr(args[0]), _sexp_expr(args[1]),
-                           _parse_loc(args[2]), int(_atom_name(args[3])), _sexp_expr(args[4]))
-        case "fail":
-            path = tuple(
-                int(_atom_name(p)) if _atom_name(p).isdigit() else _atom_name(p)
-                for p in args[0]
-            )
-            return TFail(_sexp_comp(args[1]), path)
-    raise TraceParseError(f"unknown trace tag {tag}")
+_TOKEN = re.compile(r'\s*([()]|"[^"\\]*(?:\\.[^"\\]*)*"|[^\s()"]+|")', re.S)
+_END = "the end of the dump"  # no token holds a space, so no reader accepts this
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_UNESCAPE = {"n": "\n", "t": "\t"}
+_NAME = re.compile(r'[^\s()"]+')
+_NUMBER = re.compile(r"(-?[0-9]+)|-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|-?inf|nan")  # repr's forms
+_NAT = re.compile(r"[0-9]+")  # int fields are array lengths and indices
+_LOC = re.compile(r"#([0-9]+)")
+_LOCKEY = re.compile(r"#([0-9]+)(?:\[([0-9]+)\])?")
+_PATH_STEP = re.compile(r"expr|check|[0-9]+")
+_CATEGORY_NAMES = {Expr: "an expression", Comp: "a computation", Trace: "a trace"}
 
 
 def load_trace(text: str) -> Trace:
-    tokens = _tokenize(text)
-    if not tokens:
+    """Read a dump_trace dump; malformed input raises TraceParseError."""
+    toks = _TOKEN.findall(text.rstrip())
+    if not toks:
         raise TraceParseError("empty trace dump")
-    sexp, pos = _read_sexp(tokens, 0)
-    if pos != len(tokens):
+    toks.append(_END)
+    toks.reverse()  # a stack, first token on top
+    trace = _read(toks, Trace)
+    if len(toks) > 1:
         raise TraceParseError("trailing garbage after trace")
-    return _sexp_trace(sexp)
+    return trace
+
+
+def _read(toks: list, category: type):
+    tok = toks.pop()
+    if tok != "(":
+        return _read_literal(tok, category)
+    tag = toks.pop()
+    cls = _TAGS[category].get(tag)
+    if cls is None:
+        raise TraceParseError(f"unknown tag {tag} for {_CATEGORY_NAMES[category]}")
+    order, readers = _READERS[cls]
+    args = []
+    for read in readers:
+        args.append(read(toks))
+    if toks.pop() != ")":
+        raise TraceParseError(f"too many fields in ({tag} ...)")
+    node = cls(*[args[i] for i in order])
+    check = _CHECKS.get(cls)
+    if check is not None:
+        check(node)
+    return node
+
+
+def _read_literal(tok: str, category: type):
+    if tok == "_" and category is not Trace:
+        return EHole() if category is Expr else CHole()
+    if category is Expr:
+        if tok == "true" or tok == "false":
+            return EBool(tok == "true")
+        if tok[0] == '"':
+            if len(tok) == 1:
+                raise TraceParseError("unterminated string")
+            return EStr(_ESCAPE.sub(lambda m: _UNESCAPE.get(m[1], m[1]), tok[1:-1]))
+        number = _NUMBER.fullmatch(tok)
+        if number:
+            return ENum(int(tok) if number[1] else float(tok))
+    raise TraceParseError(f"expected {_CATEGORY_NAMES[category]}, got {tok}")
+
+
+def _match(toks: list, pattern, what: str):
+    tok = toks.pop()
+    found = pattern.fullmatch(tok)
+    if found is None:
+        raise TraceParseError(f"expected {what}, got {tok}")
+    return found
+
+
+def _read_list(toks: list, pattern, what: str) -> list:
+    """A parenthesised list of atoms, each matching pattern."""
+    if toks.pop() != "(":
+        raise TraceParseError(f"expected a list of {what}")
+    items = []
+    while toks[-1] != ")":
+        items.append(_match(toks, pattern, what))
+    toks.pop()
+    return items
+
+
+def _read_terms(toks: list) -> tuple:
+    """A spread tuple of expressions runs to the node's closing paren."""
+    items = []
+    while toks[-1] != ")":
+        items.append(_read(toks, Expr))
+    return tuple(items)
+
+
+# Atoms that the field kinds alone do not constrain.
+_ARITY = dict.fromkeys(BINARY_OPS, 2) | dict.fromkeys(UNARY_OPS, 1)
+
+
+def _check_prim(e: EPrim) -> None:
+    if _ARITY.get(e.op) != len(e.args):
+        raise TraceParseError(f"operator {e.op} does not take {len(e.args)} operands")
+
+
+def _check_hole(t: THole) -> None:
+    if t.outcome not in (VAL, EXN):
+        raise TraceParseError(f"unknown outcome {t.outcome}")
+
+
+def _check_fail(t: TFail) -> None:
+    path = t.path
+    if path == ("check",):
+        return
+    if path[:1] != ("expr",) or len(path) < 2 or not all(type(p) is int for p in path[1:]):
+        raise TraceParseError(f"bad failure path {path}")
+    if type(t.comp) is not CHole and path[1] >= len(comp_exprs(t.comp)):
+        raise TraceParseError(f"failure path {path} names a missing expression")
+
+
+_CHECKS = {EPrim: _check_prim, THole: _check_hole, TFail: _check_fail}
+
+# annotation -> (writer, reader) of a field
+_FIELD_KINDS = {
+    "Expr": (_put_term, lambda toks: _read(toks, Expr)),
+    "Comp": (_put_term, lambda toks: _read(toks, Comp)),
+    "Trace": (_put_trace, lambda toks: _read(toks, Trace)),
+    "tuple[Expr, ...]": (_put_terms, _read_terms),
+    "str": (lambda v, out, pad: out.append(f" {v}"),
+            lambda toks: _match(toks, _NAME, "a name")[0]),
+    "int": (lambda v, out, pad: out.append(f" {v}"),
+            lambda toks: int(_match(toks, _NAT, "a non-negative integer")[0])),
+    "Loc": (lambda v, out, pad: out.append(f" #{v}"),
+            lambda toks: int(_match(toks, _LOC, "a location")[1])),
+    "frozenset": (_put_locs, lambda toks: frozenset(
+        int(m[1]) if m[2] is None else (int(m[1]), int(m[2]))
+        for m in _read_list(toks, _LOCKEY, "location keys"))),
+    "tuple": (lambda path, out, pad: out.append(" (" + " ".join(map(str, path)) + ")"),
+              lambda toks: tuple(int(m[0]) if m[0].isdigit() else m[0]
+                                 for m in _read_list(toks, _PATH_STEP, "failure path steps"))),
+}
+
+
+def _compile(table: dict) -> tuple:
+    writers, readers, tags = {}, {}, {Expr: {}, Comp: {}, Trace: {}}
+    for cls, line in table.items():
+        tag, *names = line.split()
+        types = {f.name: f.type for f in fields(cls) if f.name != "span"}
+        kinds = [_FIELD_KINDS[types[n]] for n in names]
+        writers[cls] = ("(" + tag, tuple((attrgetter(n), k[0]) for n, k in zip(names, kinds)))
+        readers[cls] = (tuple(names.index(n) for n in types), tuple(k[1] for k in kinds))
+        tags[SCHEMA[cls].category][tag] = cls
+    return writers, readers, tags
+
+
+_WRITERS, _READERS, _TAGS = _compile(DUMP_FORMAT)

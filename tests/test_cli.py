@@ -85,6 +85,19 @@ def test_fwd_shape_mismatch_is_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_fwd_truncated_dump_is_exit_2(tmp_path):
+    src = tmp_path / "prog.itml"
+    src.write_text("let x = ref 1 in x := 2")
+    trace = tmp_path / "prog.trace"
+    itml("trace", str(src), str(trace))
+    text = trace.read_text()
+    trace.write_text(text[:len(text) // 2])
+    proc = itml("fwd", str(src), str(trace))
+    assert proc.returncode == 2
+    assert "bad trace file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_slice_empty_criterion_shades_all(tmp_path):
     src = tmp_path / "prog.itml"
     text = "let x = ref 1 in x := 2"

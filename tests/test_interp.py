@@ -3,16 +3,19 @@
 import pytest
 
 from itml.interp import (
-    DIV_BY_ZERO, NEG_LENGTH, OUT_OF_BOUNDS, ExnSignal, StuckError, apply_prim,
-    dump_trace, eval_comp, eval_expr, load_trace, locate_failure, replay_check,
+    DIV_BY_ZERO, DUMP_FORMAT, NEG_LENGTH, OUT_OF_BOUNDS, ExnSignal, StuckError,
+    TraceParseError, apply_prim, dump_trace, eval_comp, eval_expr, load_trace,
+    locate_failure, replay_check,
 )
 from itml.lattice import outcome, writes
 from itml.syntax import (
-    CApp, CArrGet, CArrMake, CArrSet, CAssign, CDeref, CIf, CLet, CRaise,
-    CRef, CRet, CTry, EBool, EFun, EFst, EHole, ENum, EPair, EPrim, EStr,
-    EUnit, EVar, EMPTY_ENV, EMPTY_STORE, Env, Result, ScalarCell, Store,
-    TFail, THole, VArr, VBool, VClosure, VLoc, VNum, VPair, VStr, VUnit,
-    HOLE, UNIT, VAL, EXN,
+    CApp, CArrGet, CArrMake, CArrSet, CAssign, CCase, CDeref, CHole, CIf, CLet,
+    CRaise, CRef, CRet, CTry, EBool, EFun, EFst, EHole, EInl, EInr, ENum, EPair,
+    EPrim, ESnd, EStr, EUnit, EVar, EMPTY_ENV, EMPTY_STORE, Env, Result,
+    ScalarCell, Store, TApp, TArrGet, TArrMake, TArrSet, TAssign, TCaseInl,
+    TCaseInr, TDeref, TFail, THole, TIfFalse, TIfTrue, TLetFail, TLetSucc,
+    TRaise, TRef, TRet, TTryFail, TTrySucc, VArr, VBool, VClosure, VLoc, VNum,
+    VPair, VStr, VUnit, HOLE, UNIT, VAL, EXN, term_children,
 )
 
 
@@ -178,3 +181,97 @@ def test_trace_dump_is_stable():
     m = CLet("x", CRef(ENum(1)), CDeref(EVar("x")))
     assert dump_trace(run(m).trace) == dump_trace(run(m).trace)
     assert dump_trace(run(m).trace) == "(let-s x\n  (ref #0 1)\n  (deref #0 (var x)))"
+
+
+def _lets(bound: list, body):
+    for name, t in reversed(bound):
+        body = TLetSucc(name, t, body)
+    return body
+
+
+def _every_dumped_class():
+    """A trace with every class of the dump format and every literal,
+    including escapes, a float, negative ints, both kinds of location key
+    and both kinds of failure path."""
+    fn = EFun("f", "x", CLet(
+        "n", CArrMake(ENum(2), EUnit()),
+        CCase(EVar("x"), "l", CRet(EHole()), "r",
+              CIf(EBool(False), CHole(),
+                  CTry(CRaise(EStr('say "hi" \\ bye')), "e",
+                       CLet("c", CRef(ENum(-3)),
+                            CLet("_", CAssign(EVar("c"), ENum(2.5)),
+                                 CLet("_", CDeref(EVar("c")), CApp(EVar("f"), EVar("x"))))))))))
+    pair = EPair(EFst(EVar("p")), ESnd(EInl(EInr(EUnit()))))
+    div = EPair(ENum(1), EPrim("/", (ENum(1), ENum(0))))
+    hole = THole(frozenset({1, (0, 1), (0, 0), 0}), VAL)
+    handler = TApp(EVar("f"), EVar("a"), "f", "x", TCaseInr(
+        EVar("x"), "l", "r", TIfFalse(EPrim("not", (EBool(True),)), TLetSucc(
+            "_", TFail(CArrGet(EVar("a"), ENum(9)), ("check",)), TRaise(EStr("bad"))))))
+    return _lets([
+        ("f", TRet(fn)),
+        ("a", TArrMake(0, 2, ENum(2), ENum(-1))),
+        ("_", TArrSet(EVar("a"), ENum(1), 0, 1, pair)),
+        ("r", TRef(1, EPrim("+", (ENum(1), ENum(-2))))),
+        ("_", TAssign(EVar("r"), 1, ENum(0.5))),
+        ("v", TDeref(1, EVar("r"))),
+        ("g", TArrGet(EVar("a"), ENum(0), 0, 0)),
+        ("_", TTrySucc(TIfTrue(EBool(True), TCaseInl(EVar("s"), "l", hole, "r")), "e")),
+    ], TTryFail(TLetFail(TFail(CArrSet(EVar("a"), ENum(0), div), ("expr", 2, 1)), "z"),
+                "e", handler))
+
+
+EVERY_CLASS_DUMP = (
+    '(let-s f\n'
+    '  (ret (fun f x (let n (arr-make 2 (unit)) (case (var x) l (ret _) r (if false _ '
+    '(try (raise "say \\"hi\\" \\\\ bye") e (let c (ref -3) (let _ (assign (var c) 2.5) '
+    '(let _ (deref (var c)) (app (var f) (var x)))))))))))\n'
+    '  (let-s a\n'
+    '    (arr-make #0 2 2 -1)\n'
+    '    (let-s _\n'
+    '      (arr-set (var a) 1 #0 1 (pair (fst (var p)) (snd (inl (inr (unit))))))\n'
+    '      (let-s r\n'
+    '        (ref #1 (prim + 1 -2))\n'
+    '        (let-s _\n'
+    '          (assign (var r) #1 0.5)\n'
+    '          (let-s v\n'
+    '            (deref #1 (var r))\n'
+    '            (let-s g\n'
+    '              (arr-get (var a) 0 #0 0)\n'
+    '              (let-s _\n'
+    '                (try-s e\n'
+    '                  (if-t true\n'
+    '                    (case-l (var s) l r\n'
+    '                      (hole (#0 #0[0] #0[1] #1) val))))\n'
+    '                (try-f e\n'
+    '                  (let-f z\n'
+    '                    (fail (expr 2 1) (arr-set (var a) 0 (pair 1 (prim / 1 0)))))\n'
+    '                  (app (var f) (var a) f x\n'
+    '                    (case-r (var x) l r\n'
+    '                      (if-f (prim not true)\n'
+    '                        (let-s _\n'
+    '                          (fail (check) (arr-get (var a) 9))\n'
+    '                          (raise "bad"))))))))))))))'
+)
+
+
+def test_dump_format_covers_every_class():
+    t = _every_dumped_class()
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        stack.extend(term_children(node))
+    assert set(DUMP_FORMAT) | {EHole, CHole, EBool, ENum, EStr} <= seen
+    text = dump_trace(t)
+    assert text == EVERY_CLASS_DUMP
+    assert load_trace(text) == t
+
+
+@pytest.mark.parametrize("text", [
+    "(ret", "()", "(let-s x)", "(arr-make #0 x 1 2)", "(ret 1e)", "(ret 1 2)",
+    "(hole () weird)", "(fail (expr x) (ret 1))", "(fail (expr 5) (ret 1))",
+    "(fail () (ret 1))", "(ret (prim + 1))", "(arr-make #0 -2 2 0)",
+])
+def test_malformed_dump_raises_parse_error(text):
+    with pytest.raises(TraceParseError):
+        load_trace(text)
