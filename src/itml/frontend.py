@@ -19,7 +19,7 @@ carry no span and therefore never shade.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .interp import RunRecord
@@ -533,18 +533,13 @@ def parse_program(text: str) -> SurfaceProgram:
 # ---------------------------------------------------------------------------
 # Elaboration
 
-@dataclass
+@dataclass(frozen=True)
 class ElaborationMap:
-    """Span provenance for the elaborated core: the full core term plus a
-    span for every node (administrative nodes map to the surface construct
-    they serve; ones with node.span = None never shade by themselves)."""
+    """Span provenance for the elaborated core: the full core term, whose
+    nodes carry their source spans (administrative nodes with span = None
+    never shade by themselves)."""
 
-    core: Comp = None
-    spans: dict = field(default_factory=dict)
-
-    def record(self, node, span: Optional[Span]):
-        self.spans[id(node)] = span
-        return node
+    core: Comp
 
 
 class ElabError(Exception):
@@ -564,7 +559,6 @@ class _Elab:
 
     def __init__(self, reserved: set):
         self.reserved = reserved
-        self.emap = ElaborationMap()
 
     def fresh(self, stem: str, path: tuple) -> str:
         name = f"_{stem}" + "".join(f"_{i}" for i in path)
@@ -575,29 +569,27 @@ class _Elab:
     # --- computations -----------------------------------------------------
 
     def comp(self, s: STerm, scope: frozenset, path: tuple) -> Comp:
-        emap = self.emap
         match s:
             case SHole(span=sp):
-                return emap.record(CHole(span=sp), sp)
+                return CHole(span=sp)
             case SLet(name, bound, body, span=sp):
                 bound_c = self.comp(bound, scope, path + (0,))
                 body_c = self.comp(body, scope | {name}, path + (1,))
-                return emap.record(CLet(name, bound_c, body_c, span=sp), sp)
+                return CLet(name, bound_c, body_c, span=sp)
             case SRet(arg, span=sp):
                 binds: list = []
                 e = self.expr(arg, scope, binds, path + (0,))
-                return self.wrap(binds, emap.record(CRet(e, span=sp), sp), sp)
+                return self.wrap(binds, CRet(e, span=sp), sp)
             case SSeq(first, second, span=sp):
                 first_c = self.comp(first, scope, path + (0,))
                 second_c = self.comp(second, scope, path + (1,))
-                return emap.record(
-                    CLet(self.fresh("s", path), first_c, second_c, span=sp), sp)
+                return CLet(self.fresh("s", path), first_c, second_c, span=sp)
             case SIf(cond, then, els, span=sp):
                 binds = []
                 c = self.expr(cond, scope, binds, path + (0,))
                 node = CIf(c, self.comp(then, scope, path + (1,)),
                            self.comp(els, scope, path + (2,)), span=sp)
-                return self.wrap(binds, emap.record(node, sp), sp)
+                return self.wrap(binds, node, sp)
             case SWhile():
                 return self.while_loop(s, scope, path)
             case SCase(scrutinee, lname, left, rname, right, span=sp):
@@ -606,49 +598,49 @@ class _Elab:
                 node = CCase(e, lname, self.comp(left, scope | {lname}, path + (1,)),
                              rname, self.comp(right, scope | {rname}, path + (2,)),
                              span=sp)
-                return self.wrap(binds, emap.record(node, sp), sp)
+                return self.wrap(binds, node, sp)
             case SRaise(arg, span=sp):
                 binds = []
                 e = self.expr(arg, scope, binds, path + (0,))
-                return self.wrap(binds, emap.record(CRaise(e, span=sp), sp), sp)
+                return self.wrap(binds, CRaise(e, span=sp), sp)
             case STry(body, name, handler, span=sp):
                 node = CTry(self.comp(body, scope, path + (0,)), name,
                             self.comp(handler, scope | {name}, path + (1,)), span=sp)
-                return emap.record(node, sp)
+                return node
             case SRef(arg, span=sp):
                 binds = []
                 e = self.expr(arg, scope, binds, path + (0,))
-                return self.wrap(binds, emap.record(CRef(e, span=sp), sp), sp)
+                return self.wrap(binds, CRef(e, span=sp), sp)
             case SAssign(target, arg, span=sp):
                 binds = []
                 t = self.expr(target, scope, binds, path + (0,))
                 e = self.expr(arg, scope, binds, path + (1,))
-                return self.wrap(binds, emap.record(CAssign(t, e, span=sp), sp), sp)
+                return self.wrap(binds, CAssign(t, e, span=sp), sp)
             case SDeref(arg, span=sp):
                 binds = []
                 e = self.expr(arg, scope, binds, path + (0,))
-                return self.wrap(binds, emap.record(CDeref(e, span=sp), sp), sp)
+                return self.wrap(binds, CDeref(e, span=sp), sp)
             case SArrMake(length, init, span=sp):
                 binds = []
                 n = self.expr(length, scope, binds, path + (0,))
                 v = self.expr(init, scope, binds, path + (1,))
-                return self.wrap(binds, emap.record(CArrMake(n, v, span=sp), sp), sp)
+                return self.wrap(binds, CArrMake(n, v, span=sp), sp)
             case SArrGet(arr, index, span=sp):
                 binds = []
                 a = self.expr(arr, scope, binds, path + (0,))
                 i = self.expr(index, scope, binds, path + (1,))
-                return self.wrap(binds, emap.record(CArrGet(a, i, span=sp), sp), sp)
+                return self.wrap(binds, CArrGet(a, i, span=sp), sp)
             case SArrSet(arr, index, arg, span=sp):
                 binds = []
                 a = self.expr(arr, scope, binds, path + (0,))
                 i = self.expr(index, scope, binds, path + (1,))
                 e = self.expr(arg, scope, binds, path + (2,))
-                return self.wrap(binds, emap.record(CArrSet(a, i, e, span=sp), sp), sp)
+                return self.wrap(binds, CArrSet(a, i, e, span=sp), sp)
             case SApp(fn, arg, span=sp):
                 binds = []
                 f = self.expr(fn, scope, binds, path + (0,))
                 a = self.expr(arg, scope, binds, path + (1,))
-                return self.wrap(binds, emap.record(CApp(f, a, span=sp), sp), sp)
+                return self.wrap(binds, CApp(f, a, span=sp), sp)
             case SArrLit():
                 return self.array_literal(s, scope, path)
             case _:
@@ -656,7 +648,7 @@ class _Elab:
                 sp = s.span
                 binds = []
                 e = self.expr(s, scope, binds, path)
-                return self.wrap(binds, self.emap.record(CRet(e, span=sp), sp), sp)
+                return self.wrap(binds, CRet(e, span=sp), sp)
 
     def wrap(self, binds: list, core: Comp, outer_span: Optional[Span]) -> Comp:
         """Let-bind the lifted computations around `core`, innermost last.
@@ -666,63 +658,60 @@ class _Elab:
         right extent); the outermost node takes the whole construct's span
         so eliding the full chain shades the full surface statement."""
         for name, comp, span in reversed(binds):
-            core = self.emap.record(CLet(name, comp, core, span=None), span)
+            core = CLet(name, comp, core, span=None)
         if binds and outer_span is not None:
             object.__setattr__(core, "span", outer_span)
-            self.emap.spans[id(core)] = outer_span
         return core
 
     # --- expressions ------------------------------------------------------
 
     def expr(self, s: STerm, scope: frozenset, binds: list, path: tuple) -> Expr:
-        emap = self.emap
         match s:
             case SHole(span=sp):
-                return emap.record(EHole(span=sp), sp)
+                return EHole(span=sp)
             case SVar(name, span=sp):
                 if name not in scope:
                     raise ElabError(f"unbound variable {name}")
-                return emap.record(EVar(name, span=sp), sp)
+                return EVar(name, span=sp)
             case SUnit(span=sp):
-                return emap.record(EUnit(span=sp), sp)
+                return EUnit(span=sp)
             case SBool(v, span=sp):
-                return emap.record(EBool(v, span=sp), sp)
+                return EBool(v, span=sp)
             case SNum(v, span=sp):
-                return emap.record(ENum(v, span=sp), sp)
+                return ENum(v, span=sp)
             case SStr(v, span=sp):
-                return emap.record(EStr(v, span=sp), sp)
+                return EStr(v, span=sp)
             case SPair(a, b, span=sp):
-                return emap.record(
-                    EPair(self.expr(a, scope, binds, path + (0,)),
-                          self.expr(b, scope, binds, path + (1,)), span=sp), sp)
+                return EPair(self.expr(a, scope, binds, path + (0,)),
+                             self.expr(b, scope, binds, path + (1,)), span=sp)
             case SFst(a, span=sp):
-                return emap.record(EFst(self.expr(a, scope, binds, path + (0,)), span=sp), sp)
+                return EFst(self.expr(a, scope, binds, path + (0,)), span=sp)
             case SSnd(a, span=sp):
-                return emap.record(ESnd(self.expr(a, scope, binds, path + (0,)), span=sp), sp)
+                return ESnd(self.expr(a, scope, binds, path + (0,)), span=sp)
             case SInl(a, span=sp):
-                return emap.record(EInl(self.expr(a, scope, binds, path + (0,)), span=sp), sp)
+                return EInl(self.expr(a, scope, binds, path + (0,)), span=sp)
             case SInr(a, span=sp):
-                return emap.record(EInr(self.expr(a, scope, binds, path + (0,)), span=sp), sp)
+                return EInr(self.expr(a, scope, binds, path + (0,)), span=sp)
             case SPrim(op, args, span=sp):
                 parts = tuple(
                     self.expr(a, scope, binds, path + (k,))
                     for k, a in enumerate(args))
-                return emap.record(EPrim(op, parts, span=sp), sp)
+                return EPrim(op, parts, span=sp)
             case SFun():
                 return self.fun(s, scope, path)
             case SListLit(items, span=sp):
-                out = emap.record(EInl(emap.record(EUnit(), sp), span=None), sp)
+                out = EInl(EUnit(), span=None)
                 for k in reversed(range(len(items))):
                     item = items[k]
                     head = self.expr(item, scope, binds, path + (k,))
-                    pair = emap.record(EPair(head, out, span=None), item.span)
-                    out = emap.record(EInr(pair, span=None), item.span)
+                    pair = EPair(head, out, span=None)
+                    out = EInr(pair, span=None)
                 object.__setattr__(out, "span", sp)
                 return out
             case _ if isinstance(s, _EFFECTFUL):
                 name = self.fresh("t", path)
                 binds.append((name, self.comp(s, scope, path), s.span))
-                return emap.record(EVar(name, span=s.span), s.span)
+                return EVar(name, span=s.span)
         raise ElabError(f"cannot elaborate {type(s).__name__}")
 
     def fun(self, s, scope: frozenset, path: tuple) -> Expr:
@@ -741,10 +730,10 @@ class _Elab:
             else:
                 nested = build(params[1:], inner_scope,
                                self.fresh("f", path + (k + 1,)), k + 1)
-                body = self.emap.record(CRet(nested, span=None), sp)
+                body = CRet(nested, span=None)
             if not isinstance(param, str):
-                body = self.destructure(param, pname, body, sp, path + (k,))
-            return self.emap.record(EFun(outer_fname, pname, body, span=sp), sp)
+                body = self.destructure(param, pname, body, path + (k,))
+            return EFun(outer_fname, pname, body, span=sp)
 
         fname = s.fname or self.fresh("f", path + (0,))
         return build(list(s.params), scope, fname, 0)
@@ -754,64 +743,53 @@ class _Elab:
             return [pattern] if pattern != "_" else []
         return self.pattern_names(pattern[0]) + self.pattern_names(pattern[1])
 
-    def destructure(self, pattern, source: str, body: Comp, sp, path: tuple) -> Comp:
+    def destructure(self, pattern, source: str, body: Comp, path: tuple) -> Comp:
         """let (a, b) = source in body, via fst/snd projections."""
         first, second = pattern
         for idx, (part, proj) in enumerate(((second, ESnd), (first, EFst))):
             if isinstance(part, str):
                 if part == "_":
                     continue
-                proj_e = self.emap.record(proj(EVar(source)), sp)
-                bound = self.emap.record(CRet(proj_e, span=None), sp)
-                body = self.emap.record(CLet(part, bound, body, span=None), sp)
+                bound = CRet(proj(EVar(source)), span=None)
+                body = CLet(part, bound, body, span=None)
             else:
                 tmp = self.fresh("p", path + (idx,))
-                proj_e = self.emap.record(proj(EVar(source)), sp)
-                bound = self.emap.record(CRet(proj_e, span=None), sp)
-                body = self.destructure(part, tmp, body, sp, path + (idx,))
-                body = self.emap.record(CLet(tmp, bound, body, span=None), sp)
+                bound = CRet(proj(EVar(source)), span=None)
+                body = self.destructure(part, tmp, body, path + (idx,))
+                body = CLet(tmp, bound, body, span=None)
         return body
 
     def while_loop(self, s, scope: frozenset, path: tuple) -> Comp:
         """(rec loop _ => if cond then (body ;; loop ()) else return ()) ()"""
-        emap = self.emap
         sp = s.span
         loop = self.fresh("loop", path)
         arg = self.fresh("u", path)
         body_c = self.comp(s.body, scope, path + (1,))
-        call = emap.record(
-            CApp(emap.record(EVar(loop), sp), emap.record(EUnit(), sp), span=None), sp)
-        then = emap.record(
-            CLet(self.fresh("s", path), body_c, call, span=s.body.span), s.body.span)
-        els = emap.record(CRet(emap.record(EUnit(), sp), span=None), sp)
+        call = CApp(EVar(loop), EUnit(), span=None)
+        then = CLet(self.fresh("s", path), body_c, call, span=s.body.span)
+        els = CRet(EUnit(), span=None)
         binds: list = []
         cond = self.expr(s.cond, scope | {loop, arg}, binds, path + (0,))
-        if_node = emap.record(CIf(cond, then, els, span=None), sp)
+        if_node = CIf(cond, then, els, span=None)
         fun_body = self.wrap(binds, if_node, None)
-        fun = emap.record(EFun(loop, arg, fun_body, span=None), sp)
-        return emap.record(CApp(fun, emap.record(EUnit(), sp), span=sp), sp)
+        fun = EFun(loop, arg, fun_body, span=None)
+        return CApp(fun, EUnit(), span=sp)
 
     def array_literal(self, s, scope: frozenset, path: tuple) -> Comp:
         """Allocate, then write each element; element writes carry the
         element spans so slicing shades elements individually."""
-        emap = self.emap
         sp = s.span
         arr = self.fresh("a", path)
-        make = emap.record(
-            CArrMake(emap.record(ENum(len(s.items)), sp),
-                     emap.record(ENum(0), sp), span=None), sp)
-        tail: Comp = emap.record(CRet(emap.record(EVar(arr), sp), span=None), sp)
+        make = CArrMake(ENum(len(s.items)), ENum(0), span=None)
+        tail: Comp = CRet(EVar(arr), span=None)
         for k in reversed(range(len(s.items))):
             item = s.items[k]
             binds: list = []
             e = self.expr(item, scope, binds, path + (k,))
-            set_node = emap.record(
-                CArrSet(emap.record(EVar(arr), sp),
-                        emap.record(ENum(k), sp), e, span=item.span), item.span)
+            set_node = CArrSet(EVar(arr), ENum(k), e, span=item.span)
             set_chain = self.wrap(binds, set_node, item.span)
-            tail = emap.record(
-                CLet(self.fresh("s", path + (k,)), set_chain, tail, span=None), sp)
-        return emap.record(CLet(arr, make, tail, span=sp), sp)
+            tail = CLet(self.fresh("s", path + (k,)), set_chain, tail, span=None)
+        return CLet(arr, make, tail, span=sp)
 
 
 def elaborate(program: SurfaceProgram) -> tuple:
@@ -823,8 +801,7 @@ def elaborate(program: SurfaceProgram) -> tuple:
     reserved = {t.text for t in tokenize(program.source) if t.kind == "ident"}
     elab = _Elab(reserved)
     core = elab.comp(program.term, frozenset(), ())
-    elab.emap.core = core
-    return core, elab.emap
+    return core, ElaborationMap(core)
 
 
 def parse_and_elaborate(text: str) -> tuple:

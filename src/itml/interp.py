@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .syntax import (
-    BINARY_OPS, SCHEMA, UNARY_OPS, comp_exprs,
+    BINARY_OPS, SCHEMA, UNARY_OPS, comp_exprs, term_children,
     Comp, CApp, CArrGet, CArrMake, CArrSet, CAssign, CCase, CDeref, CHole,
     CIf, CLet, CRaise, CRef, CRet, CTry,
     Expr, EBool, EFun, EHole, ENum, EPair, EPrim, EStr, EUnit, EVar,
@@ -357,55 +357,34 @@ class _Evaluator:
         return v1, v2.value
 
 
-class _Found(Exception):
-    def __init__(self, path: tuple):
-        super().__init__(path)
-        self.path = path
-
-
-def _probe_expr(env: Env, e: Expr, path: tuple) -> Value:
-    """Re-evaluate e, raising _Found at the first failing division.
-
-    Child indices follow the structural child order, so the resulting path
-    can be navigated on any prefix of e.
-    """
-    match e:
-        case EPair(a, b):
-            return VPair(_probe_expr(env, a, path + (0,)), _probe_expr(env, b, path + (1,)))
-        case EFst(a):
-            v = _probe_expr(env, a, path + (0,))
-            if not isinstance(v, VPair):
-                raise StuckError("fst of non-pair")
-            return v.fst
-        case ESnd(a):
-            v = _probe_expr(env, a, path + (0,))
-            if not isinstance(v, VPair):
-                raise StuckError("snd of non-pair")
-            return v.snd
-        case EInl(a):
-            return VInl(_probe_expr(env, a, path + (0,)))
-        case EInr(a):
-            return VInr(_probe_expr(env, a, path + (0,)))
-        case EPrim(op, args):
-            vals = [_probe_expr(env, a, path + (i,)) for i, a in enumerate(args)]
+def _first_raising(env: Env, terms: tuple) -> Optional[int]:
+    """Index of the first expression among terms whose evaluation raises."""
+    for k, e in enumerate(terms):
+        if isinstance(e, Expr):
             try:
-                return apply_prim(op, vals)
+                eval_expr(env, e)
             except ExnSignal:
-                raise _Found(path) from None
-        case _:
-            return eval_expr(env, e)
+                return k
+    return None
 
 
 def locate_failure(env: Env, m: Comp) -> tuple:
     """Pinpoint the raise inside a computation whose pre-effect phase
     signalled: either a division within one of its expressions, or the
-    node's own length/bounds check."""
-    for i, e in enumerate(comp_exprs(m)):
-        try:
-            _probe_expr(env, e, ())
-        except _Found as found:
-            return ("expr", i) + found.path
-    return ("check",)
+    node's own length/bounds check.
+
+    A division's path steps into the first child that raises, in
+    `term_children` order, so it can be navigated on any prefix of the
+    expression.
+    """
+    exprs = comp_exprs(m)
+    i = _first_raising(env, exprs)
+    if i is None:
+        return ("check",)
+    path, e = ("expr", i), exprs[i]
+    while (k := _first_raising(env, term_children(e))) is not None:
+        path, e = path + (k,), term_children(e)[k]
+    return path
 
 
 def eval_comp(env: Env, store: Store, program: Comp,

@@ -13,6 +13,7 @@ set and outcome.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, product
 from math import prod
 from operator import is_
@@ -69,33 +70,39 @@ def writes(t: Trace) -> frozenset:
 
 
 class WritesIndex:
-    """Memoized membership queries `key in writes(T)` for one slicing session.
+    """Membership queries `key in writes(T)` for every node T of one trace.
 
-    Avoids materializing the (possibly huge) write sets of enclosing trace
-    nodes: the criterion store is sparse, so slicing asks about few keys,
-    and each (node, key) pair is resolved at most once.
+    One preorder walk numbers the nodes, so each node's subtree is the
+    position range [first, end), and lists, per location key, the sorted
+    positions of the nodes that write it themselves.  A query is then one
+    bisect, and no enclosing node's write set is materialized.
     """
 
-    def __init__(self) -> None:
-        self._memo: dict = {}
+    def __init__(self, trace: Trace) -> None:
+        self._first: dict = {}
+        self._end: dict = {}
+        self._writers: dict = {}
+        count = 0
+        stack: list = [(trace, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                self._end[id(node)] = count
+                continue
+            self._first[id(node)] = count
+            for key in trace_local_writes(node):
+                self._writers.setdefault(key, []).append(count)
+            count += 1
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(trace_children(node)))
 
     def contains(self, t: Trace, key: LocKey) -> bool:
-        memo_key = (id(t), key)
-        hit = self._memo.get(memo_key)
-        if hit is not None:
-            return hit
-        if t._writes is not None:
-            result = key in t._writes
-        elif key in trace_local_writes(t):
-            result = True
-        else:
-            result = any(self.contains(child, key) for child in trace_children(t))
-        self._memo[memo_key] = result
-        return result
-
-    def touches(self, t: Trace, store: Store) -> bool:
-        """Does t write any location the (sparse) store has information on?"""
-        return any(self.contains(t, key) for key in store.demanded())
+        """Does t, a node of the indexed trace, write key?"""
+        at = self._writers.get(key)
+        if at is None:
+            return False
+        i = bisect_left(at, self._first[id(t)])
+        return i < len(at) and at[i] < self._end[id(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +110,13 @@ class WritesIndex:
 
 def erase(store: Store, locs) -> Store:
     """Store with every entry named in locs replaced by hole; idempotent."""
-    return erase_by(store, lambda key: key in locs)
-
-
-def erase_by(store: Store, hit: Callable[[LocKey], bool]) -> Store:
     new = {}
     for loc, cell in store.cells():
         if isinstance(cell, ScalarCell):
-            if not hit(loc):
+            if loc not in locs:
                 new[loc] = cell
         else:
-            kept = {i: v for i, v in cell.items.items() if not hit((loc, i))}
+            kept = {i: v for i, v in cell.items.items() if (loc, i) not in locs}
             if kept:
                 new[loc] = ArrayCell(cell.length, kept)
     return Store(new)

@@ -16,6 +16,13 @@ Two conventions matter throughout:
   returned or raised.  The hole rule is applied preferentially: whenever
   the demanded result value is a hole and the demanded store has no
   information on any written location, the entire sub-run collapses.
+  Backward slicing asks whether a sub-run writes a demanded key of one
+  `WritesIndex`, built at most once per call by a preorder walk that
+  gives every node the position range of its subtree and every key the
+  sorted positions of the nodes writing it, so each question is one
+  bisect.  Forward slicing applies the rule to an elided sub-run, and to
+  a branch whose target it cannot recompute, by erasing that sub-run's
+  write set.
 
 * Forward rules evaluate the *meet* of the program's expression and the
   one recorded in the trace.  On mirrored slices (every backward output)
@@ -30,7 +37,7 @@ from typing import Optional
 
 from .interp import RunRecord, apply_prim, eval_expr, ExnSignal, StuckError, \
     DIV_BY_ZERO, OUT_OF_BOUNDS, NEG_LENGTH
-from .lattice import WritesIndex, erase, erase_by, join, leq, meet, outcome, writes
+from .lattice import WritesIndex, erase, join, leq, meet, outcome, writes
 from .syntax import (
     Comp, CApp, CArrGet, CArrMake, CArrSet, CAssign, CCase, CDeref, CHole,
     CIf, CLet, CRaise, CRef, CRet, CTry,
@@ -187,76 +194,67 @@ def _store_elem(store: Store, loc, i) -> Value:
         return HOLE
 
 
-def fwd_comp(env: Env, store: Store, m: Comp, t: Trace,
-             windex: Optional[WritesIndex] = None) -> tuple:
+def fwd_comp(env: Env, store: Store, m: Comp, t: Trace) -> tuple:
     """Greatest partial (store, result) computable from the partial inputs.
 
     The result outcome always equals the trace's outcome, and the output
     store agrees with the input store outside the trace's write set.
     """
-    if windex is None:
-        windex = WritesIndex()
-    return _fwd(env, store, m, t, windex)
-
-
-def _fwd(env: Env, store: Store, m: Comp, t: Trace, windex: WritesIndex) -> tuple:
-    if isinstance(t, THole):
-        return erase(store, t.locs), Result(t.outcome, HOLE)
-    if isinstance(m, CHole):
-        return erase_by(store, lambda key: windex.contains(t, key)), Result(outcome(t), HOLE)
+    if isinstance(t, THole) or isinstance(m, CHole):
+        return _elided(store, t)
 
     match m, t:
         case (CRet(e), TRet(te)):
             return store, Result(VAL, fwd_expr(env, meet(e, te)))
 
         case (CLet(x, m1, m2), TLetSucc(_, t1, t2)):
-            store1, r1 = _fwd(env, store, m1, t1, windex)
-            return _fwd(env.bind(x, r1.value), store1, m2, t2, windex)
+            store1, r1 = fwd_comp(env, store, m1, t1)
+            return fwd_comp(env.bind(x, r1.value), store1, m2, t2)
 
         case (CLet(_, m1, _), TLetFail(t1, _)):
-            return _fwd(env, store, m1, t1, windex)
+            return fwd_comp(env, store, m1, t1)
 
         case (CApp(e1, e2), TApp(te1, te2, _, _, tb)):
             v1 = fwd_expr(env, meet(e1, te1))
             if not isinstance(v1, VClosure):
-                return _fwd_opaque(store, tb, windex)
+                return _elided(store, tb)
             v2 = fwd_expr(env, meet(e2, te2))
             benv = v1.env.bind(v1.fname, v1).bind(v1.xname, v2)
-            return _fwd(benv, store, v1.body, tb, windex)
+            return fwd_comp(benv, store, v1.body, tb)
 
         case (CCase(e, lx, m1, _, _), TCaseInl(te, _, tb, _)):
             v = fwd_expr(env, meet(e, te))
             if not isinstance(v, VInl):
-                return _fwd_opaque(store, tb, windex)
-            return _fwd(env.bind(lx, v.arg), store, m1, tb, windex)
+                return _elided(store, tb)
+            return fwd_comp(env.bind(lx, v.arg), store, m1, tb)
 
         case (CCase(e, _, _, ry, m2), TCaseInr(te, _, _, tb)):
             v = fwd_expr(env, meet(e, te))
             if not isinstance(v, VInr):
-                return _fwd_opaque(store, tb, windex)
-            return _fwd(env.bind(ry, v.arg), store, m2, tb, windex)
+                return _elided(store, tb)
+            return fwd_comp(env.bind(ry, v.arg), store, m2, tb)
 
         case (CIf(c, m1, _), TIfTrue(tc, tb)):
             v = fwd_expr(env, meet(c, tc))
             if not (isinstance(v, VBool) and v.value is True):
-                return _fwd_opaque(store, tb, windex)
-            return _fwd(env, store, m1, tb, windex)
+                return _elided(store, tb)
+            return fwd_comp(env, store, m1, tb)
 
         case (CIf(c, _, m2), TIfFalse(tc, tb)):
             v = fwd_expr(env, meet(c, tc))
             if not (isinstance(v, VBool) and v.value is False):
-                return _fwd_opaque(store, tb, windex)
-            return _fwd(env, store, m2, tb, windex)
+                return _elided(store, tb)
+            return fwd_comp(env, store, m2, tb)
 
         case (CRaise(e), TRaise(te)):
             return store, Result(EXN, fwd_expr(env, meet(e, te)))
 
         case (CTry(m1, _, _), TTrySucc(t1, _)):
-            return _fwd(env, store, m1, t1, windex)
+            return fwd_comp(env, store, m1, t1)
 
         case (CTry(m1, x, m2), TTryFail(t1, _, t2)):
-            store1, r1 = _fwd(env, store, m1, t1, windex)
-            return _fwd(env.bind(x, r1.value), store1, m2, t2, windex)
+            store1, r1 = fwd_comp(env, store, m1, t1)
+            return fwd_comp(env.bind(x, r1.value), store1, m2, t2)
 
         case (CRef(e), TRef(loc, te)):
             v = fwd_expr(env, meet(e, te))
@@ -313,13 +311,11 @@ def _fwd(env: Env, store: Store, m: Comp, t: Trace, windex: WritesIndex) -> tupl
     )
 
 
-def _fwd_opaque(store: Store, body: Trace, windex: WritesIndex) -> tuple:
-    """Control-flow target unknown: erase everything the taken branch
-    wrote and report only the recorded outcome."""
-    return (
-        erase_by(store, lambda key: windex.contains(body, key)),
-        Result(outcome(body), HOLE),
-    )
+def _elided(store: Store, t: Trace) -> tuple:
+    """The hole rule: a sub-run that is elided, or whose control-flow
+    target is unknown, erases everything it wrote and reports only its
+    recorded outcome."""
+    return erase(store, writes(t)), Result(outcome(t), HOLE)
 
 
 def _fwd_fail_value(env: Env, m: Comp, path: tuple) -> Value:
@@ -412,18 +408,28 @@ def bwd_comp(criterion: Criterion, trace: Trace) -> BackwardSliceOutput:
         raise ShapeMismatchError(
             "trace has no environment decorations (a reloaded dump?); "
             "backward slicing needs the trace of an in-process run")
-    slicer = _Bwd()
+    slicer = _Bwd(trace)
     rho, store, m, u = slicer.slice(criterion.store, criterion.result, trace)
     return BackwardSliceOutput(rho, store, m, u)
 
 
 class _Bwd:
-    def __init__(self) -> None:
-        self.windex = WritesIndex()
+    def __init__(self, trace: Trace) -> None:
+        self.trace = trace
+        self.index: Optional[WritesIndex] = None
+
+    def touches(self, t: Trace, store: Store) -> bool:
+        """Does t write a location the store demands?  The write index is
+        built on the first question that has a demand to check."""
+        if store.is_bottom():
+            return False
+        if self.index is None:
+            self.index = WritesIndex(self.trace)
+        return any(self.index.contains(t, key) for key in store.demanded())
 
     def slice(self, store: Store, res: Result, t: Trace) -> tuple:
         # the hole rule, applied preferentially
-        if isinstance(res.value, VHole) and not self.windex.touches(t, store):
+        if isinstance(res.value, VHole) and not self.touches(t, store):
             return EMPTY_ENV, store, CHole(), THole(writes(t), outcome(t))
         if res.outcome != outcome(t):
             raise ShapeMismatchError(

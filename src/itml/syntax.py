@@ -386,9 +386,6 @@ class Env:
         new = {k: v for k, v in self._m.items() if k not in names}
         return Env._trusted(new)
 
-    def names(self):
-        return self._m.keys()
-
     def items(self):
         return self._m.items()
 
@@ -601,16 +598,18 @@ EMPTY_STORE = Store()
 # ---------------------------------------------------------------------------
 # Traces.  Each node caches its outcome (self.k) at construction; the
 # interpreter additionally decorates nodes with the environment they ran in
-# (self.env), which backward slicing consults to recover recorded values.
-# Neither attribute takes part in equality.
+# (self.env), which backward slicing consults to recover recorded values,
+# and lattice.writes caches a node's write set (self._writes).  The class
+# attributes are the undecorated defaults.  None of them takes part in
+# equality.
 
 class Trace:
     __slots__ = ()
+    env = None
+    _writes = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _trace_outcome(self))
-        object.__setattr__(self, "env", None)
-        object.__setattr__(self, "_writes", None)
 
     def with_env(self, env: Env) -> "Trace":
         object.__setattr__(self, "env", env)
@@ -860,7 +859,9 @@ def trace_local_writes(t: Trace) -> frozenset:
             return frozenset((loc,))
         case TArrMake(loc, length, _, _):
             return frozenset((loc, i) for i in range(length))
-        case TArrGet(_, _, loc, at) | TArrSet(_, _, loc, at, _):
+        case TArrSet(_, _, loc, at, _):
+            # TArrGet reads (loc, at) but changes no store, so forward
+            # slicing never needs it to bound an elided sub-run's effects
             return frozenset(((loc, at),))
         case _:
             return frozenset()

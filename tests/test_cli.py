@@ -135,6 +135,14 @@ def test_oracle_command():
         assert {"adjunction", "minimality", "meet", "join"} <= set(rec["checks"])
 
 
+def test_oracle_above_the_corpus_cap(capsys):
+    # seed 243 generates `let v1 = array(1, 2) in let v2 = v1[0] in return v1`
+    from itml.cli import main
+    assert main(["oracle", "--seeds", "1", "--seed-base", "243", "--budget", "8",
+                 "--cap", "20000"]) == 0
+    assert "0 failures" in capsys.readouterr().out
+
+
 def test_step_limit_env_var(tmp_path):
     src = tmp_path / "loop.itml"
     src.write_text("let f = rec f x => f x in f 0")

@@ -5,17 +5,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itml.cli import run_deep
+from itml.frontend import parse_and_elaborate
 from itml.interp import eval_comp
 from itml.lattice import (
-    CapExceededError, UndefinedJoinError, enumerate_prefixes, erase, join,
-    lattice_size, leq, meet, outcome, writes,
+    CapExceededError, UndefinedJoinError, WritesIndex, enumerate_prefixes,
+    erase, join, lattice_size, leq, meet, outcome, writes,
 )
 from itml.oracle import generate_run
 from itml.syntax import (
     CRet, EHole, ENum, EPair, EPrim, EVar, EMPTY_ENV, EMPTY_STORE, Env,
     Result, ScalarCell, ArrayCell, Store, THole, TRef, TRaise, TRet,
-    TLetSucc, VClosure, VNum, VPair, HOLE, VAL, EXN,
+    TLetSucc, VClosure, VNum, VPair, HOLE, VAL, EXN, trace_children,
 )
+
+from conftest import program_text
 
 PAIR12 = EPair(ENum(1), ENum(2))
 # one term of each category without a generated run to supply it
@@ -80,6 +84,43 @@ def test_writes_arr_make():
     from itml.syntax import TArrMake
     t = TArrMake(5, 3, ENum(3), ENum(0))
     assert writes(t) == frozenset({(5, 0), (5, 1), (5, 2)})
+
+
+def _source_run(text):
+    core, _emap = parse_and_elaborate(text)
+    return run_deep(eval_comp, EMPTY_ENV, EMPTY_STORE, core)
+
+
+ARRAY_BUILD_50 = (
+    "let a = array(50, 0) in let i = ref 0 in\n"
+    "(while !i < 50 do a[!i] <- !i * 2 ;; i := !i + 1) ;;\n"
+    "!i\n"
+)
+
+
+def _index_runs(source):
+    if source == "generated":
+        return [generate_run(seed) for seed in range(200)]
+    if source == "array-build-50":
+        return [_source_run(ARRAY_BUILD_50)]
+    return [_source_run(program_text(source))]
+
+
+@pytest.mark.parametrize("source", [
+    "loop_array.itml", "map_div.itml", "gauss.itml", "generated", "array-build-50"])
+def test_writes_index_agrees_with_writes(source):
+    for run in _index_runs(source):
+        root = run.trace
+        index = WritesIndex(root)
+        keys = sorted(writes(root), key=repr) + [-1]  # -1 is never allocated
+        nodes, stack = [], [root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(trace_children(nodes[-1]))
+        for t in reversed(nodes):  # children first, so writes(t) stays cheap
+            expected = writes(t)
+            for key in keys:
+                assert index.contains(t, key) == (key in expected), (t, key)
 
 
 def test_erase():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from itml.frontend import parse_and_elaborate
 from itml.interp import eval_comp
 from itml.lattice import CapExceededError, leq
 from itml.oracle import (
@@ -124,3 +125,11 @@ def test_preservation_checks_pass():
         run = generate_run(seed)
         assert check_meet_preservation(run, rng, 20) is None
         assert check_join_preservation(run, rng, 15) is None
+
+
+def test_an_elided_array_read_is_not_a_write():
+    """Slicing for a[0] drops the read y = a[0]: a read changes no store.
+    The input lattice (6561 points) is above the generator's cap."""
+    core, _emap = parse_and_elaborate("let a = array(1, 7) in let y = a[0] in ()")
+    run = eval_comp(EMPTY_ENV, EMPTY_STORE, core)
+    assert check_minimality_all(run, cap=10**6) is None
