@@ -106,23 +106,6 @@ class WritesIndex:
 
 
 # ---------------------------------------------------------------------------
-# Store erasure
-
-def erase(store: Store, locs) -> Store:
-    """Store with every entry named in locs replaced by hole; idempotent."""
-    new = {}
-    for loc, cell in store.cells():
-        if isinstance(cell, ScalarCell):
-            if loc not in locs:
-                new[loc] = cell
-        else:
-            kept = {i: v for i, v in cell.items.items() if (loc, i) not in locs}
-            if kept:
-                new[loc] = ArrayCell(cell.length, kept)
-    return Store(new)
-
-
-# ---------------------------------------------------------------------------
 # The generic order, meet and join.  Nodes of the four term categories run
 # off the schema: a hole is below everything of its category, and two
 # non-hole nodes compare when their classes and atoms agree, child by

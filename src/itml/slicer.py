@@ -9,7 +9,7 @@ inputs/program/trace sufficient for forward slicing to reproduce the
 criterion.  The two form a Galois connection; the oracle module checks
 this exhaustively on small runs.
 
-Two conventions matter throughout:
+Three conventions matter throughout:
 
 * A whole-trace hole carries its write set and outcome, so slicing away a
   computation still discloses which locations it clobbered and whether it
@@ -22,7 +22,14 @@ Two conventions matter throughout:
   sorted positions of the nodes writing it, so each question is one
   bisect.  Forward slicing applies the rule to an elided sub-run, and to
   a branch whose target it cannot recompute, by erasing that sub-run's
-  write set.
+  write set from its working store.
+
+* Forward slicing threads the store linearly: every rule hands the store
+  it gets to exactly one successor.  So one `fwd_comp` call copies its
+  input store once into a mutable working store, updates that in place
+  (allocation, assignment, element writes, erasure), and freezes it once
+  into a `Store` at the end, as evaluation does with its cells.  Replay
+  time and memory thus stay linear in the length of the run.
 
 * Forward rules evaluate the *meet* of the program's expression and the
   one recorded in the trace.  On mirrored slices (every backward output)
@@ -37,14 +44,15 @@ from typing import Optional
 
 from .interp import RunRecord, apply_prim, eval_expr, ExnSignal, StuckError, \
     DIV_BY_ZERO, OUT_OF_BOUNDS, NEG_LENGTH
-from .lattice import WritesIndex, erase, join, leq, meet, outcome, writes
+from .lattice import WritesIndex, join, leq, meet, outcome, writes
 from .syntax import (
     Comp, CApp, CArrGet, CArrMake, CArrSet, CAssign, CCase, CDeref, CHole,
     CIf, CLet, CRaise, CRef, CRet, CTry,
     Expr, EBool, EFun, EHole, ENum, EPair, EPrim, EStr, EUnit, EVar,
     EFst, ESnd, EInl, EInr,
-    Env, EMPTY_ENV, Store, Result, Value, VArr, VBool, VClosure, VHole,
-    VInl, VInr, VLoc, VNum, VPair, VStr, VUnit, HOLE, UNIT, VAL, EXN,
+    Env, EMPTY_ENV, ArrayCell, ScalarCell, Store, Result, Value,
+    VArr, VBool, VClosure, VHole, VInl, VInr, VLoc, VNum, VPair, VStr, VUnit,
+    HOLE, UNIT, VAL, EXN,
     Trace, TApp, TArrGet, TArrMake, TArrSet, TAssign, TCaseInl, TCaseInr,
     TDeref, TFail, THole, TIfFalse, TIfTrue, TLetFail, TLetSucc, TRaise,
     TRef, TRet, TTryFail, TTrySucc, SCHEMA,
@@ -180,142 +188,181 @@ def _expect(ok: bool, v: Value, e: Expr) -> None:
 # ---------------------------------------------------------------------------
 # Forward slicing for computations.
 
-def _store_value(store: Store, loc) -> Value:
-    try:
-        return store.get_value(loc)
-    except TypeError:
-        return HOLE
-
-
-def _store_elem(store: Store, loc, i) -> Value:
-    try:
-        return store.get_elem(loc, i)
-    except TypeError:
-        return HOLE
-
-
 def fwd_comp(env: Env, store: Store, m: Comp, t: Trace) -> tuple:
     """Greatest partial (store, result) computable from the partial inputs.
 
     The result outcome always equals the trace's outcome, and the output
-    store agrees with the input store outside the trace's write set.
+    store agrees with the input store outside the trace's write set.  The
+    input store is not mutated: it is copied once into a working store,
+    which the rules update in place and which is frozen once at the end.
     """
+    cells: dict = {}
+    for loc, cell in store.cells():
+        if isinstance(cell, ScalarCell):
+            cells[loc] = cell.value
+        else:
+            cells[loc] = [cell.length, dict(cell.items)]
+    result = _fwd(env, cells, m, t)
+    frozen = {}
+    for loc, cell in cells.items():
+        if type(cell) is not list:
+            frozen[loc] = ScalarCell(cell)
+        elif cell[1]:
+            frozen[loc] = ArrayCell._trusted(cell[0], cell[1])
+    return Store._trusted(frozen), result
+
+
+# The working store maps a location to its value (a scalar cell) or to
+# [length, items] (an array cell, items holding only hole-free elements).
+# A scalar hole is never stored; an all-hole array is dropped on freezing.
+
+def _fwd(env: Env, cells: dict, m: Comp, t: Trace) -> Result:
     if isinstance(t, THole) or isinstance(m, CHole):
-        return _elided(store, t)
+        return _elided(cells, t)
 
     match m, t:
         case (CRet(e), TRet(te)):
-            return store, Result(VAL, fwd_expr(env, meet(e, te)))
+            return Result(VAL, fwd_expr(env, meet(e, te)))
 
         case (CLet(x, m1, m2), TLetSucc(_, t1, t2)):
-            store1, r1 = fwd_comp(env, store, m1, t1)
-            return fwd_comp(env.bind(x, r1.value), store1, m2, t2)
+            r1 = _fwd(env, cells, m1, t1)
+            return _fwd(env.bind(x, r1.value), cells, m2, t2)
 
         case (CLet(_, m1, _), TLetFail(t1, _)):
-            return fwd_comp(env, store, m1, t1)
+            return _fwd(env, cells, m1, t1)
 
         case (CApp(e1, e2), TApp(te1, te2, _, _, tb)):
             v1 = fwd_expr(env, meet(e1, te1))
             if not isinstance(v1, VClosure):
-                return _elided(store, tb)
+                return _elided(cells, tb)
             v2 = fwd_expr(env, meet(e2, te2))
             benv = v1.env.bind(v1.fname, v1).bind(v1.xname, v2)
-            return fwd_comp(benv, store, v1.body, tb)
+            return _fwd(benv, cells, v1.body, tb)
 
         case (CCase(e, lx, m1, _, _), TCaseInl(te, _, tb, _)):
             v = fwd_expr(env, meet(e, te))
             if not isinstance(v, VInl):
-                return _elided(store, tb)
-            return fwd_comp(env.bind(lx, v.arg), store, m1, tb)
+                return _elided(cells, tb)
+            return _fwd(env.bind(lx, v.arg), cells, m1, tb)
 
         case (CCase(e, _, _, ry, m2), TCaseInr(te, _, _, tb)):
             v = fwd_expr(env, meet(e, te))
             if not isinstance(v, VInr):
-                return _elided(store, tb)
-            return fwd_comp(env.bind(ry, v.arg), store, m2, tb)
+                return _elided(cells, tb)
+            return _fwd(env.bind(ry, v.arg), cells, m2, tb)
 
         case (CIf(c, m1, _), TIfTrue(tc, tb)):
             v = fwd_expr(env, meet(c, tc))
             if not (isinstance(v, VBool) and v.value is True):
-                return _elided(store, tb)
-            return fwd_comp(env, store, m1, tb)
+                return _elided(cells, tb)
+            return _fwd(env, cells, m1, tb)
 
         case (CIf(c, _, m2), TIfFalse(tc, tb)):
             v = fwd_expr(env, meet(c, tc))
             if not (isinstance(v, VBool) and v.value is False):
-                return _elided(store, tb)
-            return fwd_comp(env, store, m2, tb)
+                return _elided(cells, tb)
+            return _fwd(env, cells, m2, tb)
 
         case (CRaise(e), TRaise(te)):
-            return store, Result(EXN, fwd_expr(env, meet(e, te)))
+            return Result(EXN, fwd_expr(env, meet(e, te)))
 
         case (CTry(m1, _, _), TTrySucc(t1, _)):
-            return fwd_comp(env, store, m1, t1)
+            return _fwd(env, cells, m1, t1)
 
         case (CTry(m1, x, m2), TTryFail(t1, _, t2)):
-            store1, r1 = fwd_comp(env, store, m1, t1)
-            return fwd_comp(env.bind(x, r1.value), store1, m2, t2)
+            r1 = _fwd(env, cells, m1, t1)
+            return _fwd(env.bind(x, r1.value), cells, m2, t2)
 
         case (CRef(e), TRef(loc, te)):
-            v = fwd_expr(env, meet(e, te))
-            return store.set_value(loc, v), Result(VAL, VLoc(loc))
+            _set_value(cells, loc, fwd_expr(env, meet(e, te)))
+            return Result(VAL, VLoc(loc))
 
         case (CAssign(e1, e2), TAssign(te1, loc, te2)):
             v1 = fwd_expr(env, meet(e1, te1))
             if not (isinstance(v1, VLoc) and v1.loc == loc):
                 # target unknown: the recorded cell is clobbered, but an
                 # assignment's unit result is known regardless
-                return store.set_value(loc, HOLE), Result(VAL, UNIT)
-            v2 = fwd_expr(env, meet(e2, te2))
-            return store.set_value(loc, v2), Result(VAL, UNIT)
+                cells.pop(loc, None)
+                return Result(VAL, UNIT)
+            _set_value(cells, loc, fwd_expr(env, meet(e2, te2)))
+            return Result(VAL, UNIT)
 
         case (CDeref(e), TDeref(loc, te)):
             v = fwd_expr(env, meet(e, te))
-            if not (isinstance(v, VLoc) and v.loc == loc):
-                return store, Result(VAL, HOLE)
-            return store, Result(VAL, _store_value(store, loc))
+            cell = cells.get(loc, HOLE)
+            if not (isinstance(v, VLoc) and v.loc == loc) or type(cell) is list:
+                return Result(VAL, HOLE)
+            return Result(VAL, cell)
 
         case (CArrMake(e1, e2), TArrMake(loc, n, te1, te2)):
             v1 = fwd_expr(env, meet(e1, te1))
             v2 = fwd_expr(env, meet(e2, te2))
-            if not (isinstance(v1, VNum) and v1.value == n):
-                return store.set_array(loc, n, HOLE), Result(VAL, HOLE)
-            return store.set_array(loc, n, v2), Result(VAL, VArr(loc, n))
+            known = isinstance(v1, VNum) and v1.value == n
+            if known and not isinstance(v2, VHole):
+                cells[loc] = [n, dict.fromkeys(range(n), v2)]
+            else:
+                cells.pop(loc, None)
+            return Result(VAL, VArr(loc, n) if known else HOLE)
 
         case (CArrGet(e1, e2), TArrGet(te1, te2, loc, at)):
             v1 = fwd_expr(env, meet(e1, te1))
             v2 = fwd_expr(env, meet(e2, te2))
+            cell = cells.get(loc)
             if not (isinstance(v1, VArr) and v1.loc == loc
-                    and isinstance(v2, VNum) and v2.value == at):
-                return store, Result(VAL, HOLE)
-            return store, Result(VAL, _store_elem(store, loc, at))
+                    and isinstance(v2, VNum) and v2.value == at
+                    and type(cell) is list):
+                return Result(VAL, HOLE)
+            return Result(VAL, cell[1].get(at, HOLE))
 
         case (CArrSet(e1, e2, e3), TArrSet(te1, te2, loc, at, te3)):
             v1 = fwd_expr(env, meet(e1, te1))
             v2 = fwd_expr(env, meet(e2, te2))
             v3 = fwd_expr(env, meet(e3, te3))
+            cell = cells.get(loc)
+            if cell is not None and type(cell) is not list:
+                raise ShapeMismatchError(
+                    f"trace writes an element of #{loc}, which holds a scalar")
             known = (isinstance(v1, VArr) and v1.loc == loc
                      and isinstance(v2, VNum) and v2.value == at)
-            if not known:
-                return store.set_elem(loc, at, HOLE), Result(VAL, HOLE)
-            return store.set_elem(loc, at, v3, length=v1.length), Result(VAL, UNIT)
+            if known and not isinstance(v3, VHole):
+                if cell is None:
+                    cell = cells[loc] = [v1.length, {}]
+                cell[1][at] = v3
+            elif cell is not None:
+                cell[1].pop(at, None)
+            return Result(VAL, UNIT if known else HOLE)
 
         case (_, TFail(tm, path)):
             m_eff = meet(m, tm)
             if isinstance(m_eff, CHole):
-                return store, Result(EXN, HOLE)
-            return store, Result(EXN, _fwd_fail_value(env, m_eff, path))
+                return Result(EXN, HOLE)
+            return Result(EXN, _fwd_fail_value(env, m_eff, path))
 
     raise ShapeMismatchError(
         f"program {type(m).__name__} does not match trace {type(t).__name__}"
     )
 
 
-def _elided(store: Store, t: Trace) -> tuple:
+def _set_value(cells: dict, loc, v: Value) -> None:
+    if isinstance(v, VHole):
+        cells.pop(loc, None)
+    else:
+        cells[loc] = v
+
+
+def _elided(cells: dict, t: Trace) -> Result:
     """The hole rule: a sub-run that is elided, or whose control-flow
     target is unknown, erases everything it wrote and reports only its
-    recorded outcome."""
-    return erase(store, writes(t)), Result(outcome(t), HOLE)
+    recorded outcome.  A key names a scalar (loc) or an element
+    ((loc, i)) and erases only a cell of that kind."""
+    for key in writes(t):
+        if type(key) is tuple:
+            cell = cells.get(key[0])
+            if type(cell) is list:
+                cell[1].pop(key[1], None)
+        elif type(cells.get(key)) is not list:
+            cells.pop(key, None)
+    return Result(outcome(t), HOLE)
 
 
 def _fwd_fail_value(env: Env, m: Comp, path: tuple) -> Value:

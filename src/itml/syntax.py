@@ -448,9 +448,14 @@ class ArrayCell:
             new.pop(i, None)
         else:
             new[i] = v
+        return ArrayCell._trusted(self.length, new)
+
+    @staticmethod
+    def _trusted(length: int, items: dict) -> "ArrayCell":
+        """A cell over items already known to be hole-free and in range."""
         cell = ArrayCell.__new__(ArrayCell)
-        object.__setattr__(cell, "length", self.length)
-        object.__setattr__(cell, "items", new)
+        object.__setattr__(cell, "length", length)
+        object.__setattr__(cell, "items", items)
         return cell
 
     def is_bottom(self) -> bool:
@@ -558,15 +563,6 @@ class Store:
             return self
         new = dict(self._m)
         del new[loc]
-        return Store._trusted(new)
-
-    def set_array(self, loc: Loc, length: int, fill: Value) -> "Store":
-        """Install a fresh array cell with every element set to fill."""
-        new = dict(self._m)
-        if isinstance(fill, VHole):
-            new.pop(loc, None)
-        else:
-            new[loc] = ArrayCell(length, dict.fromkeys(range(length), fill))
         return Store._trusted(new)
 
     def demanded(self) -> Iterator[LocKey]:

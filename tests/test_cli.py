@@ -85,6 +85,18 @@ def test_fwd_shape_mismatch_is_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_fwd_element_write_to_a_scalar_is_exit_3(tmp_path):
+    # the dump writes element 0 of #0, which the program made a scalar
+    src = tmp_path / "prog.itml"
+    src.write_text("let r = ref 1 in r[0] <- 5")
+    trace = tmp_path / "prog.trace"
+    trace.write_text("(let-s r (ref #0 1) (arr-set (var r) 0 #0 0 5))")
+    proc = itml("fwd", str(src), str(trace))
+    assert proc.returncode == 3
+    assert "program does not fit the trace" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_fwd_truncated_dump_is_exit_2(tmp_path):
     src = tmp_path / "prog.itml"
     src.write_text("let x = ref 1 in x := 2")

@@ -1,4 +1,4 @@
-"""Prefix order, meets/joins, trace annotations, erasure, enumeration."""
+"""Prefix order, meets/joins, trace annotations, enumeration."""
 
 import random
 
@@ -10,7 +10,7 @@ from itml.frontend import parse_and_elaborate
 from itml.interp import eval_comp
 from itml.lattice import (
     CapExceededError, UndefinedJoinError, WritesIndex, enumerate_prefixes,
-    erase, join, lattice_size, leq, meet, outcome, writes,
+    join, lattice_size, leq, meet, outcome, writes,
 )
 from itml.oracle import generate_run
 from itml.syntax import (
@@ -121,16 +121,6 @@ def test_writes_index_agrees_with_writes(source):
             expected = writes(t)
             for key in keys:
                 assert index.contains(t, key) == (key in expected), (t, key)
-
-
-def test_erase():
-    mu = Store({0: ScalarCell(VNum(5)), 1: ArrayCell(2, {0: VNum(1), 1: VNum(2)})})
-    assert erase(mu, frozenset()) == mu
-    assert erase(mu, frozenset([0])) == Store({1: ArrayCell(2, {0: VNum(1), 1: VNum(2)})})
-    erased = erase(mu, frozenset([(1, 1)]))
-    assert erased.get_elem(1, 1) == HOLE
-    assert erased.get_elem(1, 0) == VNum(1)
-    assert erase(erased, frozenset([(1, 1)])) == erased  # idempotent
 
 
 def test_enumerate_pair():

@@ -1,7 +1,11 @@
 """Forward/backward slicing rules and their round-trip laws."""
 
+import tracemalloc
+
 import pytest
 
+from itml.cli import run_deep
+from itml.frontend import parse_and_elaborate
 from itml.interp import DIV_BY_ZERO, eval_comp
 from itml.lattice import leq, outcome, writes
 from itml.slicer import (
@@ -9,9 +13,10 @@ from itml.slicer import (
     fwd_comp, fwd_expr, validate_criterion,
 )
 from itml.syntax import (
-    CAssign, CHole, CLet, CRef, CRet, EFst, EHole, ENum, EPair, EPrim, EVar,
-    EMPTY_ENV, EMPTY_STORE, Env, Result, ScalarCell, Store, TAssign, TFail,
-    THole, VHole, VLoc, VNum, VPair, VStr, VUnit, HOLE, UNIT, VAL, EXN,
+    ArrayCell, CArrSet, CAssign, CHole, CLet, CRef, CRet, EFst, EHole, ENum,
+    EPair, EPrim, EVar, EMPTY_ENV, EMPTY_STORE, Env, Result, ScalarCell,
+    Store, TAssign, TFail, THole, VArr, VHole, VLoc, VNum, VPair, VStr, VUnit,
+    HOLE, UNIT, VAL, EXN,
 )
 
 
@@ -76,6 +81,88 @@ def test_fwd_comp_hole_uses_trace_writes():
     out_store, res = fwd_comp(EMPTY_ENV, store, CHole(), run.trace)
     assert out_store == Store({9: ScalarCell(VNum(7))})
     assert res == Result(VAL, HOLE)
+
+
+MU = Store({0: ScalarCell(VNum(5)), 1: ArrayCell(2, {0: VNum(1), 1: VNum(2)})})
+
+
+def _fwd_hole(store, keys):
+    out_store, res = fwd_comp(EMPTY_ENV, store, CHole(), THole(frozenset(keys), VAL))
+    assert res == Result(VAL, HOLE)
+    return out_store
+
+
+def test_fwd_hole_erases_its_write_set():
+    assert _fwd_hole(MU, []) == MU
+    # a scalar key `loc` erases a scalar cell
+    assert _fwd_hole(MU, [0]) == Store({1: ArrayCell(2, {0: VNum(1), 1: VNum(2)})})
+    # an element key `(loc, i)` erases one array element
+    erased = _fwd_hole(MU, [(1, 1)])
+    assert erased.get_elem(1, 1) == HOLE
+    assert erased.get_elem(1, 0) == VNum(1)
+    assert _fwd_hole(erased, [(1, 1)]) == erased  # idempotent
+    # keys of unrelated locations, or of the other cell kind, erase nothing
+    assert _fwd_hole(MU, [7, (8, 0), (0, 0), 1]) == MU
+
+
+def _array_write_run():
+    # a[0] <- 1 ; a[2] <- 2 over an input array #0 of three zeros
+    store = Store({0: ArrayCell(3, dict.fromkeys(range(3), VNum(0))),
+                   1: ScalarCell(VNum(9))})
+    m = CLet("u", CArrSet(EVar("a"), ENum(0), ENum(1)),
+             CArrSet(EVar("a"), ENum(2), ENum(2)))
+    return eval_comp(Env({"a": VArr(0, 3)}), store, m)
+
+
+def test_fwd_leaves_its_input_store_alone():
+    run = _array_write_run()
+    cells = dict(run.store.cells())
+    items = {loc: dict(c.items) for loc, c in cells.items() if isinstance(c, ArrayCell)}
+    replayed = fwd_comp(run.env, run.store, run.program, run.trace)
+    assert replayed == (run.out_store, run.result)
+    # a hole erases the elements the run wrote, keeping the one it did not
+    out_store, _ = fwd_comp(run.env, run.store, CHole(), run.trace)
+    assert out_store == Store({0: ArrayCell(3, {1: VNum(0)}), 1: ScalarCell(VNum(9))})
+    # an array whose every element is erased is absent from the output
+    out_store = _fwd_hole(run.store, [(0, 0), (0, 1), (0, 2)])
+    assert 0 not in out_store.locs()
+    rebuilt = Store(dict(out_store.cells()))
+    assert out_store == rebuilt and hash(out_store) == hash(rebuilt)
+    assert out_store == Store({1: ScalarCell(VNum(9))})
+    # none of these calls touched the input store or its item dicts
+    assert dict(run.store.cells()) == cells
+    for loc, cell in run.store.cells():
+        if isinstance(cell, ArrayCell):
+            assert cell is cells[loc] and cell.items == items[loc]
+
+
+def test_fwd_replays_a_zero_length_array():
+    core, _ = parse_and_elaborate("let a = array(0, 1) in a")
+    run = eval_comp(EMPTY_ENV, EMPTY_STORE, core)
+    assert fwd_comp(run.env, run.store, run.program, run.trace) == (run.out_store, run.result)
+
+
+def test_fwd_array_build_memory_is_linear():
+    # replay owns one working store: element writes do not copy the array
+    # and nested rules do not hold stores of their own
+    n = 400
+    core, _ = parse_and_elaborate(
+        f"let a = array({n}, 0) in\n"
+        f"let i = ref 0 in\n"
+        f"(while !i < {n} do\n"
+        f"  a[!i] <- !i * 2 ;;\n"
+        f"  i := !i + 1\n"
+        f") ;;\n"
+        f"!i\n")
+    run = run_deep(eval_comp, EMPTY_ENV, EMPTY_STORE, core, 10**6)
+    tracemalloc.start()
+    try:
+        replayed = run_deep(fwd_comp, run.env, run.store, run.program, run.trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replayed == (run.out_store, run.result)
+    assert peak < 2 * 2**20, f"fwd_comp peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_fwd_assign_with_holed_target():
@@ -186,7 +273,7 @@ def test_fwd_program_trace_shape_mismatch_raises():
 
 def test_bwd_rejects_a_reloaded_dump():
     # dumps carry no environment decorations, which backward slicing reads
-    from itml.frontend import parse_and_elaborate, parse_criterion
+    from itml.frontend import parse_criterion
     from itml.interp import dump_trace, load_trace
     from conftest import program_text
 
